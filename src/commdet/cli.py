@@ -54,16 +54,16 @@ def cmd_verify(args) -> int:
             "holds": report.holds,
             "residual_terms": report.residual.term_count(),
         }
-        if args.format == "json":
-            print(json.dumps(line, separators=(",", ":")))
-        else:
-            print(f"{report.id}: {'PASS' if report.holds else 'FAIL'}")
+        _emit(line, args.format, [f"{report.id}: {'PASS' if report.holds else 'FAIL'}"])
     return 0 if ok else 1
 
 
 def cmd_represent(args) -> int:
     if (args.t is None) != (args.delta is None):
         print("--t and --delta must be given together", file=sys.stderr)
+        return 2
+    if args.bound < 1:
+        print("--bound must be >= 1", file=sys.stderr)
         return 2
     if args.delta is not None:
         form = QuadForm.from_ints(ZZ, args.p, args.t, args.delta)
@@ -236,13 +236,10 @@ def _paper_examples():
 def cmd_examples(args) -> int:
     entries = _paper_examples()
     all_pass = all(e["pass"] for e in entries)
-    if args.format == "json":
-        print(json.dumps({"entries": entries, "pass": all_pass},
-                         separators=(",", ":")))
-    else:
-        for e in entries:
-            status = "PASS" if e["pass"] else f"FAIL (expected {e['expected']}, got {e['computed']})"
-            print(f"{e['name']}: {status}")
+    lines = [f"{e['name']}: PASS" if e["pass"] else
+             f"{e['name']}: FAIL (expected {e['expected']}, got {e['computed']})"
+             for e in entries]
+    _emit({"entries": entries, "pass": all_pass}, args.format, lines)
     return 0 if all_pass else 1
 
 

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Tuple
 
 from .mat2 import Mat2, QTraceContext, commutator
-from .rings import PolynomialRing, RingMismatchError, RingValue
+from .rings import IntegerRing, PolynomialRing, RingMismatchError, RingValue
+from .witnesses import _factor_matrices
 
 __all__ = [
     "Identity",
@@ -248,19 +249,10 @@ def _i_5_14(v):
     return pairs
 
 
-def _factor_matrices(v):
+def _i_6_6(v):
     p, q, r, s = v["p"], v["q"], v["r"], v["s"]
     c = p * r ** 2 + q * s ** 2
-    a = s + p * r
-    b = r - q * s
-    X = Mat2(a, b, p * s, p * r)
-    Y = Mat2(b, q * r, -a, -q * s)
-    A = Mat2(p.ring.zero(), q, -p, p.ring.zero())
-    return p, q, r, s, c, X, Y, A
-
-
-def _i_6_6(v):
-    p, q, r, s, c, X, Y, A = _factor_matrices(v)
+    X, Y, A = _factor_matrices(p, q, r, s)
     cA = A.scale(c)
     XY = X * Y
     pairs = [
@@ -276,7 +268,9 @@ def _i_6_6(v):
 
 
 def _i_6_10(v):
-    p, q, r, s, c, X, Y, A = _factor_matrices(v)
+    p, q, r, s = v["p"], v["q"], v["r"], v["s"]
+    c = p * r ** 2 + q * s ** 2
+    X, Y, _ = _factor_matrices(p, q, r, s)
     two = _two(v)
     x = r * (two * q * s - r)
     y = -s * (two * p * r + s)
@@ -407,8 +401,6 @@ def remark_4_4B_divisibility_check(X: Mat2, Y: Mat2) -> bool:
 
     Convention: 0 divides only 0.
     """
-    from .rings import IntegerRing
-
     if not isinstance(X.ring, IntegerRing):
         raise ValueError("divisibility check requires integer matrices")
     if not (X.det().is_zero() and Y.det().is_zero()):

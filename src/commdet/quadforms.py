@@ -1,10 +1,10 @@
 """Binary quadratic forms: evaluation, finite value sets, witness search.
 
-Representation search over Z is a bounded box scan.  For positive
-definite forms the scanner also derives the analytic coordinate bounds,
-so an exhausted scan within those bounds is a genuine nonexistence
-proof; for all other forms exhaustion only means "no witness within the
-bound".
+Representation search over Z solves one quadratic in r2 per row r1 of
+a bounded box.  For positive definite forms the search also derives the
+analytic coordinate bounds, so an exhausted search within those bounds
+is a genuine nonexistence proof; for all other forms exhaustion only
+means "no witness within the bound".
 """
 
 from __future__ import annotations
@@ -92,11 +92,8 @@ def value_set_mod(form: QuadForm) -> Set[int]:
         raise TypeError("value_set_mod expects a form over a modular ring")
     n = ring.modulus
     _check_modulus(n)
-    out = set()
-    for r1 in range(n):
-        for r2 in range(n):
-            out.add(form.eval(ring.from_int(r1), ring.from_int(r2)).payload)
-    return out
+    s, t, d = form.s.payload, form.t.payload, form.delta.payload
+    return {(s * x * x + t * x * y + d * y * y) % n for x in range(n) for y in range(n)}
 
 
 def representable_mod(p: int, q: int, c: int, n: int) -> bool:
@@ -106,22 +103,29 @@ def representable_mod(p: int, q: int, c: int, n: int) -> bool:
     return c % n in value_set_mod(QuadForm.diagonal(ring, p, q))
 
 
-def _shell(total: int, bound: int):
-    lo = max(0, total - bound)
-    hi = min(total, bound)
-    for a1 in range(lo, hi + 1):
-        a2 = total - a1
-        for r1 in ([a1, -a1] if a1 else [0]):
-            for r2 in ([a2, -a2] if a2 else [0]):
-                yield r1, r2
+def _int_quadratic_roots(a: int, b: int, c: int) -> Optional[Tuple[int, ...]]:
+    """Ascending integer roots of a*x^2 + b*x + c = 0; None if every x is one."""
+    if a == 0:
+        if b == 0:
+            return None if c == 0 else ()
+        return (-c // b,) if c % b == 0 else ()
+    disc = b * b - 4 * a * c
+    if disc < 0:
+        return ()
+    root = math.isqrt(disc)
+    if root * root != disc:
+        return ()
+    return tuple(sorted({(e - b) // (2 * a) for e in (root, -root)
+                         if (e - b) % (2 * a) == 0}))
 
 
 def search_representation(form: QuadForm, c: int, bound: int) -> SearchResult:
-    """Scan |r1|, |r2| <= bound for f(r1, r2) = c over the integers.
+    """Search |r1|, |r2| <= bound for f(r1, r2) = c over the integers.
 
-    Scan order: ascending |r1|+|r2|, then ascending |r1|, then
-    nonnegative values before negatives.  Deterministic, so the first
-    hit is reproducible across runs.
+    Each row r1 is solved exactly for r2.  Search order: ascending
+    |r1|+|r2|, then ascending |r1|, then nonnegative values before
+    negatives.  Deterministic, so the first hit is reproducible across
+    runs.
     """
     if not isinstance(form.ring, IntegerRing):
         raise TypeError("integer search expects a form over the integers")
@@ -145,11 +149,19 @@ def search_representation(form: QuadForm, c: int, bound: int) -> SearchResult:
             eff_bound = analytic
             proved = True
 
-    for total in range(0, 2 * eff_bound + 1):
-        for r1, r2 in _shell(total, eff_bound):
-            if s * r1 * r1 + t * r1 * r2 + d * r2 * r2 == c:
-                rep = Representation(ZZ.from_int(r1), ZZ.from_int(r2), ZZ.from_int(c))
-                return SearchResult(found=rep, proved_absent=False, bound=eff_bound)
+    best = None  # (|r1|+|r2|, |r1|, r1<0, r2<0, r1, r2): the first hit in search order
+    for a1 in range(eff_bound + 1):
+        if best is not None and a1 > best[0]:
+            break
+        for r1 in ((a1, -a1) if a1 else (0,)):
+            roots = _int_quadratic_roots(d, t * r1, s * r1 * r1 - c)
+            for r2 in (0,) if roots is None else roots:
+                if abs(r2) <= eff_bound:
+                    key = (a1 + abs(r2), a1, r1 < 0, r2 < 0, r1, r2)
+                    best = key if best is None else min(best, key)
+    if best is not None:
+        rep = Representation(ZZ.from_int(best[4]), ZZ.from_int(best[5]), ZZ.from_int(c))
+        return SearchResult(found=rep, proved_absent=False, bound=eff_bound)
     return SearchResult(found=None, proved_absent=proved, bound=eff_bound)
 
 

@@ -224,7 +224,8 @@ class NilPlaneRing(Ring):
         return (-a[0], -a[1], -a[2])
 
     def _mul(self, a, b):
-        # degree-2 and higher terms vanish
+        # degree-2 and higher terms vanish; the coefficients may come from
+        # any commutative ring, not only Z
         return (a[0] * b[0], a[0] * b[1] + a[1] * b[0], a[0] * b[2] + a[2] * b[0])
 
     def _is_zero(self, a):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .mat2 import Mat2, commutator
-from .quadforms import Representation
+from .quadforms import Representation, _int_quadratic_roots
 from .rings import (
     IntegerRing,
     ModularRing,
@@ -143,6 +143,17 @@ def constant_diagonal_value(X: Mat2, Y: Mat2) -> RingValue:
     return value
 
 
+def _factor_matrices(p: RingValue, q: RingValue, r: RingValue,
+                     s: RingValue) -> Tuple[Mat2, Mat2, Mat2]:
+    """X, Y and A = [[0,q],[-p,0]] of the factorization witness, unchecked."""
+    a = s + p * r
+    b = r - q * s
+    X = Mat2(a, b, p * s, p * r)
+    Y = Mat2(b, q * r, -a, -q * s)
+    A = Mat2(p.ring.zero(), q, -p, p.ring.zero())
+    return X, Y, A
+
+
 def factor_construct(p: RingValue, q: RingValue, c: RingValue,
                      r: RingValue, s: RingValue) -> FactorizationWitness:
     """Build the factorization witness for c = p*r^2 + q*s^2.
@@ -151,16 +162,11 @@ def factor_construct(p: RingValue, q: RingValue, c: RingValue,
     pair (X1, Y1) realizes the mirrored determinant pattern.  Every
     stated equation is re-verified before the witness is returned.
     """
-    ring = p.ring
     if not (p * r ** 2 + q * s ** 2 - c).is_zero():
         raise ValueError("conic constraint p*r^2 + q*s^2 = c violated")
-    a = s + p * r
-    b = r - q * s
-    X = Mat2(a, b, p * s, p * r)
-    Y = Mat2(b, q * r, -a, -q * s)
+    X, Y, A = _factor_matrices(p, q, r, s)
     X1 = Y.adjoint()
     Y1 = -X.adjoint()
-    A = Mat2(ring.zero(), q, -p, ring.zero())
     cA = A.scale(c)
     checks = [
         (X * Y - cA).is_zero(),
@@ -285,13 +291,7 @@ def preimage_search(p: int, q: int, c: int,
         # that quadratic need testing
         bound = PREIMAGE_FALLBACK_BOUND
         for r in range(-bound, bound + 1):
-            disc = p * p * r * r - y
-            if disc < 0:
-                continue
-            root = math.isqrt(disc)
-            if root * root != disc:
-                continue
-            for s in {-p * r + root, -p * r - root}:
+            for s in _int_quadratic_roots(1, 2 * p * r, y):
                 if abs(s) <= bound and matches(r, s):
                     hits.append((r, s))
     else:
@@ -317,12 +317,6 @@ def corollary_6_17_witnesses(p: RingValue, q: RingValue, c: RingValue,
     return pt, mirrored
 
 
-def _nil_mul(a, b):
-    # multiplication of c0 + c1*x + c2*y triples with x^2 = y^2 = xy = 0,
-    # over any coefficient ring
-    return (a[0] * b[0], a[0] * b[1] + a[1] * b[0], a[0] * b[2] + a[2] * b[0])
-
-
 def nilplane_in_Vyy(c: RingValue) -> bool:
     """Decide c in V[y,y] over the nil-plane ring.
 
@@ -337,11 +331,7 @@ def nilplane_in_Vyy(c: RingValue) -> bool:
         return False
     if c2 < 0:
         return False
-    for a in range(math.isqrt(c2) + 1):
-        b2 = c2 - a * a
-        if math.isqrt(b2) ** 2 == b2:
-            return True
-    return False
+    return any(_int_quadratic_roots(1, 0, a * a - c2) for a in range(math.isqrt(c2) + 1))
 
 
 def nilplane_counterexample_check() -> bool:
@@ -364,14 +354,14 @@ def nilplane_counterexample_check() -> bool:
         and (commutator(zero, zero).det() + c ** 2).is_zero()
     )
 
-    # generic coefficient analysis of y*r^2 + y*s^2
+    # generic coefficient analysis of y*r^2 + y*s^2: the nil-plane
+    # operations applied to triples of polynomial coefficients
     poly = PolynomialRing(("r0", "r1", "r2", "s0", "s1", "s2"))
     g = poly.gens()
     yv = (poly.zero(), poly.zero(), poly.one())
     rv = (g["r0"], g["r1"], g["r2"])
     sv = (g["s0"], g["s1"], g["s2"])
-    val = tuple(u + v for u, v in
-                zip(_nil_mul(yv, _nil_mul(rv, rv)), _nil_mul(yv, _nil_mul(sv, sv))))
+    val = nil._add(nil._mul(yv, nil._mul(rv, rv)), nil._mul(yv, nil._mul(sv, sv)))
     shape_ok = (val[0].is_zero() and val[1].is_zero()
                 and (val[2] - (g["r0"] ** 2 + g["s0"] ** 2)).is_zero())
     # c = x has x-coefficient 1, but every form value has none

@@ -5,6 +5,8 @@ These deliberately avoid the library's own arithmetic paths.
 
 from __future__ import annotations
 
+import math
+
 
 def schoolbook_multiply(a: int, b: int) -> int:
     """Digit-array long multiplication in base 10."""
@@ -57,3 +59,29 @@ def strace(m):
 
 def commutator_det(x, y) -> int:
     return det(mat_sub(mat_mul(x, y), mat_mul(y, x)))
+
+
+def shell_box_search(s, t, d, c, bound):
+    """Representation search for s*x^2 + t*x*y + d*y^2 = c by a full box scan.
+
+    Visits |r1|, |r2| <= bound in the documented order (ascending
+    |r1|+|r2|, then ascending |r1|, nonnegative before negative) and
+    returns (first hit or None, proved_absent, effective bound), using
+    the positive-definite analytic bound as the library does.
+    """
+    disc = t * t - 4 * s * d
+    proved = False
+    if s > 0 and disc < 0:
+        if c < 0:
+            return None, True, 0
+        analytic = max(math.isqrt(4 * s * c // -disc), math.isqrt(4 * d * c // -disc)) + 1
+        if analytic <= bound:
+            bound, proved = analytic, True
+    for total in range(2 * bound + 1):
+        for a1 in range(max(0, total - bound), min(total, bound) + 1):
+            a2 = total - a1
+            for r1 in ([a1, -a1] if a1 else [0]):
+                for r2 in ([a2, -a2] if a2 else [0]):
+                    if s * r1 * r1 + t * r1 * r2 + d * r2 * r2 == c:
+                        return (r1, r2), False, bound
+    return None, proved, bound

@@ -1,4 +1,5 @@
 import json
+import pathlib
 
 import pytest
 
@@ -78,6 +79,15 @@ def test_represent_t_without_delta_is_usage_error(capsys):
                                   "--c", "5", "--bound", "10", "--t", "1"])
     assert code == 2
     assert "--t and --delta" in err
+
+
+@pytest.mark.parametrize("bound", ["0", "-3"])
+def test_represent_nonpositive_bound_is_usage_error(capsys, bound):
+    code, out, err = run(capsys, ["represent", "--p", "1", "--q", "31",
+                                  "--c", "6704", "--bound", bound])
+    assert code == 2
+    assert out == ""
+    assert "--bound must be >= 1" in err
 
 
 def test_factor_with_explicit_point(capsys):
@@ -213,3 +223,13 @@ def test_json_output_is_compact(capsys):
     _, out, _ = run(capsys, ["values-mod", "--p", "1", "--q", "1", "--n", "4",
                              "--format", "json"])
     assert ": " not in out and ", " not in out
+
+
+GOLDEN = json.loads(pathlib.Path(__file__).with_name("cli_golden.json").read_text())
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=lambda case: " ".join(case["argv"]))
+def test_readme_examples_match_golden_output(capsys, case):
+    # stdout and exit code of every README example, byte for byte, in both formats
+    code, out, _ = run(capsys, case["argv"])
+    assert (code, out) == (case["code"], case["stdout"])

@@ -5,6 +5,7 @@ import pytest
 from commdet.quadforms import (
     MAX_ENUM_MODULUS,
     QuadForm,
+    _int_quadratic_roots,
     discriminant,
     inclusion_chain_check_mod,
     representable_mod,
@@ -12,6 +13,8 @@ from commdet.quadforms import (
     value_set_mod,
 )
 from commdet.rings import ModularRing, RingMismatchError, ZZ
+
+from oracles import shell_box_search
 
 
 def test_eval_form_examples():
@@ -54,6 +57,18 @@ def test_value_set_mod_examples():
 def test_value_set_mod_small_cases():
     assert value_set_mod(QuadForm.diagonal(ModularRing(2), 1, 1)) == {0, 1}
     assert value_set_mod(QuadForm.from_ints(ModularRing(3), 1, 0, 0)) == {0, 1}
+
+
+def test_value_set_mod_matches_eval_enumeration():
+    rng = random.Random(7)
+    for n in range(2, MAX_ENUM_MODULUS + 1):
+        ring = ModularRing(n)
+        for s, t, d in [(1, 0, 1), (0, 0, 0)] + [
+                tuple(rng.randint(-20, 20) for _ in range(3)) for _ in range(4)]:
+            form = QuadForm.from_ints(ring, s, t, d)
+            expected = {form.eval(ring.from_int(x), ring.from_int(y)).payload
+                        for x in range(n) for y in range(n)}
+            assert value_set_mod(form) == expected, (s, t, d, n)
 
 
 def test_representable_mod():
@@ -132,6 +147,34 @@ def test_search_results_reverify():
         res = search_representation(form, c, 12)
         if res.found is not None:
             assert form.eval(res.found.r1, res.found.r2).payload == c
+
+
+def test_search_matches_shell_box_scan():
+    rng = random.Random(3)
+    degenerate = [(None, None, 0), (None, 0, None), (0, None, None), (0, 0, 0)]
+    for i in range(3000):
+        s, t, d = (rng.randint(-7, 7) for _ in range(3))
+        if i % 3 == 0:  # force d=0, t=0, s=0 or (0,0,0) on every third case
+            fixed = degenerate[(i // 3) % 4]
+            s, t, d = (v if f is None else f for v, f in zip((s, t, d), fixed))
+        c = 0 if i % 11 == 0 else rng.randint(-80, 80)
+        bound = rng.randint(1, 14)
+        res = search_representation(QuadForm.from_ints(ZZ, s, t, d), c, bound)
+        got = None if res.found is None else (res.found.r1.payload, res.found.r2.payload)
+        assert (got, res.proved_absent, res.bound) == shell_box_search(s, t, d, c, bound), \
+            (s, t, d, c, bound)
+
+
+def test_int_quadratic_roots_brute_force():
+    span = range(-60, 61)
+    for a in range(-8, 9):
+        for b in range(-8, 9):
+            for c in range(-8, 9):
+                brute = tuple(x for x in span if a * x * x + b * x + c == 0)
+                roots = _int_quadratic_roots(a, b, c)
+                # every integer root of a nonzero polynomial with |c| <= 8
+                # divides c or solves a*x + b = 0, so it lies in the span
+                assert (tuple(span) if roots is None else roots) == brute, (a, b, c)
 
 
 def test_indefinite_exhaustion_is_not_a_proof():

@@ -324,6 +324,9 @@ def test_nilplane_membership():
     assert nilplane_in_Vyy(nil.y())  # y = y*1^2 + y*0^2
     assert not nilplane_in_Vyy(nil.one())
     assert not nilplane_in_Vyy(RingValue(nil, (0, 1, 5)))
+    sums = {a * a + b * b for a in range(15) for b in range(15)}
+    for m in range(-5, 200):
+        assert nilplane_in_Vyy(RingValue(nil, (0, 0, m))) == (m in sums), m
     with pytest.raises(TypeError):
         nilplane_in_Vyy(ZZ.from_int(1))
 
