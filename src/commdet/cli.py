@@ -15,13 +15,17 @@ import sys
 from . import identities, quadforms, witnesses
 from .mat2 import Mat2, commutator, parse_mat2
 from .quadforms import QuadForm, search_representation, value_set_mod
-from .rings import IntegerRing, ModularRing, ParseError, RingValue, ZZ
+from .rings import MAX_INT_DIGITS, ModularRing, ParseError, ZZ
 
 DEFAULT_FACTOR_BOUND = 1000
+# represent scans up to 2*bound+1 rows, so the bound is capped
+MAX_SEARCH_BOUND = 10**6
 
 
 def _int(text: str) -> int:
     # underscores allowed as digit separators
+    if sum(ch.isdigit() for ch in text) > MAX_INT_DIGITS:
+        raise argparse.ArgumentTypeError(f"integer longer than {MAX_INT_DIGITS} digits")
     try:
         return int(text)
     except ValueError:
@@ -64,6 +68,9 @@ def cmd_represent(args) -> int:
         return 2
     if args.bound < 1:
         print("--bound must be >= 1", file=sys.stderr)
+        return 2
+    if args.bound > MAX_SEARCH_BOUND:
+        print(f"--bound must be <= {MAX_SEARCH_BOUND}", file=sys.stderr)
         return 2
     if args.delta is not None:
         form = QuadForm.from_ints(ZZ, args.p, args.t, args.delta)
@@ -315,7 +322,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    # every input integer has at most MAX_INT_DIGITS digits, so results are
+    # bounded in size too; print them whole instead of failing at CPython's
+    # int/str limit (absent before Python 3.10.7)
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return args.func(args)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return args.func(args)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

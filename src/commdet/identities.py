@@ -23,7 +23,7 @@ from typing import Callable, Dict, List, Mapping, Tuple
 
 from .mat2 import Mat2, QTraceContext, commutator
 from .rings import IntegerRing, PolynomialRing, RingMismatchError, RingValue
-from .witnesses import _factor_matrices
+from .witnesses import _curve_point, _factor_matrices
 
 __all__ = [
     "Identity",
@@ -271,10 +271,8 @@ def _i_6_10(v):
     p, q, r, s = v["p"], v["q"], v["r"], v["s"]
     c = p * r ** 2 + q * s ** 2
     X, Y, _ = _factor_matrices(p, q, r, s)
-    two = _two(v)
-    x = r * (two * q * s - r)
-    y = -s * (two * p * r + s)
-    z = r * s + p * r ** 2 - q * s ** 2
+    pt = _curve_point(p, q, r, s)
+    x, y, z = pt.x, pt.y, pt.z
     M = commutator(X, Y)
     pairs = [
         (M.m11, -z),

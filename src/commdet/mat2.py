@@ -41,7 +41,7 @@ class Mat2:
     def __post_init__(self):
         ring = self.m11.ring
         for e in (self.m12, self.m21, self.m22):
-            if e.ring != ring:
+            if e.ring is not ring and e.ring != ring:
                 raise RingMismatchError("matrix entries must share one ring")
 
     @property

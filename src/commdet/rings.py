@@ -9,6 +9,7 @@ All values are immutable; every operation returns a fresh value.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from typing import Any, Mapping
@@ -25,7 +26,17 @@ __all__ = [
     "ZZ",
     "poly_substitute",
     "parse_value",
+    "MAX_EXPONENT",
+    "MAX_INT_DIGITS",
 ]
+
+# Largest exponent parse_value accepts after '^'.
+MAX_EXPONENT = 10**4
+# Longest integer literal parse_value accepts, and over ZZ the size of every
+# parsed value: CPython's default int/str conversion limit
+# (sys.get_int_max_str_digits()), so any accepted value can be printed.
+MAX_INT_DIGITS = 4300
+_ZZ_LIMIT = 10**MAX_INT_DIGITS
 
 
 class RingMismatchError(ValueError):
@@ -169,7 +180,7 @@ class PolynomialRing(Ring):
         terms: dict = {}
         for ea, ca in a:
             for eb, cb in b:
-                e = tuple(x + y for x, y in zip(ea, eb))
+                e = tuple(map(operator.add, ea, eb))
                 terms[e] = terms.get(e, 0) + ca * cb
         return self._canon(terms)
 
@@ -247,7 +258,7 @@ class RingValue:
     def _check(self, other: "RingValue") -> None:
         if not isinstance(other, RingValue):
             raise TypeError(f"expected RingValue, got {type(other).__name__}")
-        if other.ring != self.ring:
+        if other.ring is not self.ring and other.ring != self.ring:
             raise RingMismatchError(f"ring mismatch: {self.ring} vs {other.ring}")
 
     def __add__(self, other: "RingValue") -> "RingValue":
@@ -268,9 +279,15 @@ class RingValue:
     def __pow__(self, n: int) -> "RingValue":
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        out = self.ring.one()
-        for _ in range(n):
-            out = out * self
+        if n == 0:
+            return self.ring.one()
+        # left-to-right binary method, seeded with the leading bit:
+        # at most 2*(bit_length - 1) multiplications
+        out = self
+        for bit in bin(n)[3:]:
+            out = out * out
+            if bit == "1":
+                out = out * self
         return out
 
     def is_zero(self) -> bool:
@@ -331,6 +348,8 @@ def _tokenize(text: str) -> list:
             break
         num, name, op = m.groups()
         if num is not None:
+            if len(num) - num.count("_") > MAX_INT_DIGITS:
+                raise ParseError(f"integer literal longer than {MAX_INT_DIGITS} digits")
             tokens.append(("int", int(num)))
         elif name is not None:
             tokens.append(("name", name))
@@ -347,6 +366,10 @@ class _Parser:
     term       := factor ('*' factor)*
     factor     := '-' factor | atom ('^' int)?
     atom       := int | name | '(' expression ')'
+
+    Limits: a literal has at most MAX_INT_DIGITS digits, an exponent is at
+    most MAX_EXPONENT, and over ZZ every intermediate value has at most
+    MAX_INT_DIGITS digits; anything larger is a ParseError.
     """
 
     def __init__(self, ring: Ring, text: str):
@@ -373,14 +396,19 @@ class _Parser:
         while self.peek() == ("op", "+") or self.peek() == ("op", "-"):
             _, op = self.take()
             rhs = self.term()
-            value = value + rhs if op == "+" else value - rhs
+            value = self._sized(value + rhs if op == "+" else value - rhs)
         return value
 
     def term(self) -> RingValue:
         value = self.factor()
         while self.peek() == ("op", "*"):
             self.take()
-            value = value * self.factor()
+            value = self._sized(value * self.factor())
+        return value
+
+    def _sized(self, value: RingValue) -> RingValue:
+        if isinstance(self.ring, IntegerRing) and abs(value.payload) >= _ZZ_LIMIT:
+            raise ParseError(f"integer value longer than {MAX_INT_DIGITS} digits")
         return value
 
     def factor(self) -> RingValue:
@@ -393,7 +421,13 @@ class _Parser:
             kind, n = self.take()
             if kind != "int":
                 raise ParseError("exponent must be an integer literal")
-            value = value**n
+            if n > MAX_EXPONENT:
+                raise ParseError(f"exponent larger than {MAX_EXPONENT}")
+            # |b|^n >= 2^(n*(bit_length(b)-1)): refuse a too-large power unbuilt
+            if (isinstance(self.ring, IntegerRing)
+                    and n * (abs(value.payload).bit_length() - 1) >= _ZZ_LIMIT.bit_length()):
+                raise ParseError(f"integer value longer than {MAX_INT_DIGITS} digits")
+            value = self._sized(value**n)
         return value
 
     def atom(self) -> RingValue:

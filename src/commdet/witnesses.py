@@ -143,6 +143,11 @@ def constant_diagonal_value(X: Mat2, Y: Mat2) -> RingValue:
     return value
 
 
+def _factor_A(p: RingValue, q: RingValue) -> Mat2:
+    """A = [[0,q],[-p,0]], the matrix with X*Y = c*A."""
+    return Mat2(p.ring.zero(), q, -p, p.ring.zero())
+
+
 def _factor_matrices(p: RingValue, q: RingValue, r: RingValue,
                      s: RingValue) -> Tuple[Mat2, Mat2, Mat2]:
     """X, Y and A = [[0,q],[-p,0]] of the factorization witness, unchecked."""
@@ -150,8 +155,7 @@ def _factor_matrices(p: RingValue, q: RingValue, r: RingValue,
     b = r - q * s
     X = Mat2(a, b, p * s, p * r)
     Y = Mat2(b, q * r, -a, -q * s)
-    A = Mat2(p.ring.zero(), q, -p, p.ring.zero())
-    return X, Y, A
+    return X, Y, _factor_A(p, q)
 
 
 def factor_construct(p: RingValue, q: RingValue, c: RingValue,
@@ -199,10 +203,9 @@ def extract_representation(X1: Mat2, Y1: Mat2, p: RingValue, q: RingValue,
     Requires c cancellable (nonzero over Z; coprime to the modulus over
     Z/n): the supertrace extraction divides out c^2.
     """
-    ring = p.ring
     if not _is_cancellable(c):
         raise ValueError("c must be cancellable (non zero-divisor)")
-    A = Mat2(ring.zero(), q, -p, ring.zero())
+    A = _factor_A(p, q)
     if not (X1 * Y1 - A.scale(c)).is_zero():
         raise ValueError("X1*Y1 = c*A violated")
     if not (X1.det() - c * q).is_zero():
@@ -218,6 +221,15 @@ def extract_representation(X1: Mat2, Y1: Mat2, p: RingValue, q: RingValue,
     return Representation(r1=r, r2=s, value=c)
 
 
+def _curve_point(p: RingValue, q: RingValue, r: RingValue,
+                 s: RingValue) -> SurfacePoint:
+    """The curve-map formulas for x, y, z, unchecked."""
+    two = p.ring.from_int(2)
+    return SurfacePoint(x=r * (two * q * s - r),
+                        y=-s * (two * p * r + s),
+                        z=r * s + p * r ** 2 - q * s ** 2)
+
+
 def curve_map(p: RingValue, q: RingValue, c: RingValue,
               r: RingValue, s: RingValue) -> SurfacePoint:
     """Map a conic point to the plane/quadric intersection.
@@ -226,15 +238,13 @@ def curve_map(p: RingValue, q: RingValue, c: RingValue,
     """
     if not (p * r ** 2 + q * s ** 2 - c).is_zero():
         raise ValueError("conic constraint p*r^2 + q*s^2 = c violated")
-    two = p.ring.from_int(2)
-    x = r * (two * q * s - r)
-    y = -s * (two * p * r + s)
-    z = r * s + p * r ** 2 - q * s ** 2
+    pt = _curve_point(p, q, r, s)
+    x, y, z = pt.x, pt.y, pt.z
     if not (p * x + q * y + c).is_zero():
         raise AssertionError("plane equation failed")  # unreachable
     if not (x * y - z ** 2 + c ** 2).is_zero():
         raise AssertionError("quadric equation failed")  # unreachable
-    return SurfacePoint(x=x, y=y, z=z)
+    return pt
 
 
 def _congruent(a: int, b: int, m: int) -> bool:
@@ -346,7 +356,7 @@ def nilplane_counterexample_check() -> bool:
     c = nil.x()
     p = q = nil.y()
     zero = Mat2.zero(nil)
-    A = Mat2(nil.zero(), q, -p, nil.zero())
+    A = _factor_A(p, q)
     vacuous = (
         (zero * zero - A.scale(c)).is_zero()
         and (zero.det() - c * p).is_zero()

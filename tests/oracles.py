@@ -85,3 +85,14 @@ def shell_box_search(s, t, d, c, bound):
                     if s * r1 * r1 + t * r1 * r2 + d * r2 * r2 == c:
                         return (r1, r2), False, bound
     return None, proved, bound
+
+
+def linear_pow(x, n: int):
+    """x**n by n successive ring multiplications, starting from one.
+
+    The reference for RingValue.__pow__'s square-and-multiply.
+    """
+    out = x.ring.one()
+    for _ in range(n):
+        out = out * x
+    return out

@@ -1,10 +1,14 @@
 import json
 import pathlib
+import sys
+import time
 
 import pytest
 
-from commdet.cli import main
+from commdet.cli import MAX_SEARCH_BOUND, main
 from commdet.identities import ALL_TAGS
+
+from oracles import commutator_det
 
 
 def run(capsys, argv):
@@ -165,6 +169,59 @@ def test_norm_witness_parse_error(capsys):
     code, _, err = run(capsys, ["norm-witness", "--X", "[[1,2],[3]]",
                                 "--Y", "[[0,0],[0,0]]"])
     assert code == 2
+
+
+def test_norm_witness_prints_results_beyond_the_str_limit(capsys):
+    limit = sys.get_int_max_str_digits()
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["norm-witness", "--X", "[[0,9^3000],[-2,1]]",
+                                  "--Y", "[[4,3],[3,0]]", "--format", "json"])
+    assert time.perf_counter() - start < 1
+    assert (code, err) == (0, "")
+    assert sys.get_int_max_str_digits() == limit
+    sys.set_int_max_str_digits(0)
+    try:
+        doc = json.loads(out)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    X, Y = ((0, 9**3000), (-2, 1)), ((4, 3), (3, 0))
+    assert doc["certified_value"] == -4 * commutator_det(X, Y)
+    assert doc["certified_value"] > 10**4300
+    u, v, t, delta = doc["u"], doc["v"], doc["t"], doc["delta"]
+    assert u * u + t * u * v + delta * v * v == doc["certified_value"]
+    code, out, _ = run(capsys, ["norm-witness", "--X", "[[0,9^3000],[-2,1]]",
+                                "--Y", "[[4,3],[3,0]]"])
+    assert code == 0 and len(out) > 3 * 4300
+
+
+@pytest.mark.parametrize("entry", ["7" * 5000, "0^3000000", "2^" + "1" * 5000,
+                                   "((9^9999)^9999)^9999", "9^4000*9^4000"],
+                         ids=["literal_5000_digits", "exponent_3000000",
+                              "exponent_5000_digits", "tower", "product"])
+def test_norm_witness_oversized_entry_is_usage_error(capsys, entry):
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["norm-witness", "--X", f"[[0,{entry}],[-2,1]]",
+                                  "--Y", "[[4,3],[3,0]]"])
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and len(err) < 100
+
+
+def test_represent_bound_cap(capsys):
+    code, out, err = run(capsys, ["represent", "--p", "1", "--q", "31", "--c", "6704",
+                                  "--bound", str(MAX_SEARCH_BOUND + 1)])
+    assert (code, out, err) == (2, "", f"--bound must be <= {MAX_SEARCH_BOUND}\n")
+    # the cap itself is accepted; the analytic bound keeps this search short
+    code, out, _ = run(capsys, ["represent", "--p", "1", "--q", "31", "--c", "6704",
+                                "--bound", str(MAX_SEARCH_BOUND)])
+    assert (code, out) == (0, "found: True\nr1=77 r2=5\n")
+
+
+def test_oversized_integer_argument_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["represent", "--p", "1", "--q", "1", "--c", "7" * 5000, "--bound", "5"])
+    assert exc.value.code == 2
+    assert "longer than 4300 digits" in capsys.readouterr().err
 
 
 def test_values_mod_command(capsys):

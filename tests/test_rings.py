@@ -4,18 +4,21 @@ import pytest
 from hypothesis import given, strategies as st
 
 from commdet.rings import (
+    MAX_EXPONENT,
+    MAX_INT_DIGITS,
     IntegerRing,
     ModularRing,
     NilPlaneRing,
     ParseError,
     PolynomialRing,
     RingMismatchError,
+    RingValue,
     ZZ,
     parse_value,
     poly_substitute,
 )
 
-from oracles import schoolbook_multiply
+from oracles import linear_pow, schoolbook_multiply
 
 MOD7 = ModularRing(7)
 POLY3 = PolynomialRing(("a", "b", "c"))
@@ -181,3 +184,116 @@ def test_parse_errors():
         parse_value(ZZ, "x")
     with pytest.raises(ParseError):
         parse_value(POLY3, "a ^ b")
+
+
+def _binomial(ring, rng):
+    # two random terms: powers up to 64 stay small enough for the linear loop
+    out = ring.zero()
+    for _ in range(2):
+        term = ring.from_int(rng.choice([-3, -2, -1, 1, 2, 3]))
+        for name in ring.variables:
+            term = term * ring.gen(name) ** rng.randint(0, 1)
+        out = out + term
+    return out
+
+
+@pytest.mark.parametrize("ring", [ZZ, MOD7, ModularRing(9973), ModularRing(2**64 - 59),
+                                  POLY3, NIL], ids=str)
+def test_pow_matches_linear_oracle(ring):
+    rng = random.Random(20261018)
+    exponents = list(range(65))
+    if isinstance(ring, (ModularRing, NilPlaneRing)):
+        exponents += [rng.randint(65, 10**4) for _ in range(12)] + [10**4]
+    for n in exponents:
+        bases = [rand_value(ring, rng) for _ in range(3)]
+        if isinstance(ring, PolynomialRing):
+            # a general random polynomial only while its powers stay small
+            bases = [_binomial(ring, rng) for _ in range(2)] + (bases[:1] if n <= 6 else [])
+        if isinstance(ring, NilPlaneRing) and n > 64:
+            bases += [RingValue(ring, (rng.choice([-1, 1]), rng.randint(-9, 9),
+                                       rng.randint(-9, 9)))]
+        for x in bases:
+            got = x ** n
+            assert got.ring == ring
+            want = linear_pow(x, n)
+            assert got.payload == want.payload
+            if n <= 64:
+                assert got.render() == want.render()
+
+
+def test_pow_contract():
+    x = ZZ.from_int(3)
+    for bad in (-1, 2.0, "2", None):
+        with pytest.raises(ValueError):
+            x ** bad
+    for ring in (ZZ, MOD7, POLY3, NIL):
+        assert ring.zero() ** 0 == ring.one()
+        assert ring.zero() ** 5 == ring.zero()
+
+
+class _CountingRing(ModularRing):
+    muls = 0
+
+    def _mul(self, a, b):
+        _CountingRing.muls += 1
+        return super()._mul(a, b)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 1023, 1024, 2**13 + 1, 10**4 - 1, 10**4])
+def test_pow_uses_logarithmically_many_multiplications(n):
+    ring = _CountingRing(10007)
+    x = ring.from_int(5)
+    _CountingRing.muls = 0
+    got = x ** n
+    assert got.payload == pow(5, n, 10007)
+    # ceil(log2 n) = (n - 1).bit_length()
+    assert _CountingRing.muls <= 2 * (n - 1).bit_length()
+    if n == 2:
+        assert _CountingRing.muls == 1
+
+
+def test_parse_exponent_cap():
+    assert parse_value(MOD7, f"3^{MAX_EXPONENT}").payload == pow(3, MAX_EXPONENT, 7)
+    assert parse_value(NIL, f"(1 + 2*x - y)^{MAX_EXPONENT}").payload == (
+        1, 2 * MAX_EXPONENT, -MAX_EXPONENT)
+    assert parse_value(ZZ, f"(-1)^{MAX_EXPONENT}").payload == 1
+    for ring in (ZZ, MOD7, POLY3, NIL):
+        with pytest.raises(ParseError, match="exponent"):
+            parse_value(ring, f"0^{MAX_EXPONENT + 1}")
+    with pytest.raises(ParseError):
+        parse_value(ZZ, "0^3000000")
+
+
+def test_parse_literal_length_cap():
+    assert parse_value(ZZ, "9" * MAX_INT_DIGITS).payload == 10**MAX_INT_DIGITS - 1
+    # underscores are separators, not digits
+    assert parse_value(ZZ, "1_" * (MAX_INT_DIGITS - 1) + "1").payload == int("1" * MAX_INT_DIGITS)
+    for ring in (ZZ, MOD7, NIL):
+        with pytest.raises(ParseError, match="literal"):
+            parse_value(ring, "7" * (MAX_INT_DIGITS + 1))
+        # the exponent literal is bounded before it is read
+        with pytest.raises(ParseError, match="literal"):
+            parse_value(ring, "2^" + "1" * 5000)
+
+
+def test_parse_zz_values_stay_printable():
+    # the largest accepted power of each base is the largest one that prints
+    # (from base 3 on the boundary lies below MAX_EXPONENT)
+    limit = 10**MAX_INT_DIGITS
+    for b in range(3, 13):
+        e, power = 1, b
+        while power * b < limit:
+            e, power = e + 1, power * b
+        assert parse_value(ZZ, f"{b}^{e}").payload == b ** e
+        assert parse_value(ZZ, f"-({b})^{e}").payload == -(b ** e)
+        with pytest.raises(ParseError, match="longer than"):
+            parse_value(ZZ, f"{b}^{e + 1}")
+    with pytest.raises(ParseError):
+        parse_value(ZZ, "1" + "0" * MAX_INT_DIGITS)
+    for text in ("((9^9999)^9999)^9999", "9^4000*9^4000", "(9^4000)^2",
+                 "9" * MAX_INT_DIGITS + " + 1", "0 - " + "9" * MAX_INT_DIGITS + " - 1"):
+        with pytest.raises(ParseError, match="longer than"):
+            parse_value(ZZ, text)
+    # the same texts are fine where values are reduced
+    assert parse_value(MOD7, "((9^9999)^9999)^9999").payload == pow(9, 9999**3, 7)
+    assert parse_value(MOD7, "9^4000*9^4000").payload == pow(9, 8000, 7)
