@@ -20,6 +20,9 @@ from .rings import MAX_INT_DIGITS, ModularRing, ParseError, ZZ
 DEFAULT_FACTOR_BOUND = 1000
 # represent scans up to 2*bound+1 rows, so the bound is capped
 MAX_SEARCH_BOUND = 10**6
+# preimage trial-divides z - c and z + c up to their square roots, so
+# |z| + |c| is capped
+MAX_DIVISOR_TARGET = 10**12
 
 
 def _int(text: str) -> int:
@@ -145,6 +148,9 @@ def cmd_curve(args) -> int:
 
 
 def cmd_preimage(args) -> int:
+    if abs(args.z) + abs(args.c) > MAX_DIVISOR_TARGET:
+        print(f"|--z| + |--c| must be <= {MAX_DIVISOR_TARGET}", file=sys.stderr)
+        return 2
     hits, bounded = witnesses.preimage_search(args.p, args.q, args.c,
                                               (args.x, args.y, args.z))
     payload = {"preimages": [list(h) for h in hits], "bounded": bounded}

@@ -64,11 +64,6 @@ def _Y(v) -> Mat2:
     return Mat2(v["e"], v["f"], v["g"], v["h"])
 
 
-def _two(v: Mapping[str, RingValue]) -> RingValue:
-    some = next(iter(v.values()))
-    return some.ring.from_int(2)
-
-
 def _i_2_2(v):
     X, Y = _X(v), _Y(v)
     lhs = commutator(X, Y).det()
@@ -86,7 +81,7 @@ def _i_2_5(v):
 def _i_2_7(v):
     X, Y = _X(v), _Y(v)
     lhs = commutator(X, Y).det()
-    rhs = _two(v) * X.det() * Y.det() - (X * Y * X.adjoint() * Y.adjoint()).trace()
+    rhs = X.ring.from_int(2) * X.det() * Y.det() - (X * Y * X.adjoint() * Y.adjoint()).trace()
     return [(lhs, rhs)]
 
 
@@ -102,7 +97,7 @@ def _i_3_2(v):
     X = Mat2(v["a"], v["b"], v["c"], -v["a"])
     Y = Mat2(v["e"], v["f"], v["g"], -v["e"])
     lhs = commutator(X, Y).det()
-    four = _two(v) * _two(v)
+    four = X.ring.from_int(4)
     rhs = four * (X * Y).det() - (X * Y).trace() ** 2
     return [(lhs, rhs)]
 
@@ -138,7 +133,7 @@ def _i_4_3(v):
     d, dp = X.det(), Y.det()
     t, tp = X.trace(), Y.trace()
     s = (X * Y).trace()
-    four = _two(v) * _two(v)
+    four = X.ring.from_int(4)
     lhs = commutator(X, Y).det()
     rhs = four * dp * d - s ** 2 - d * tp ** 2 - dp * t ** 2 + s * tp * t
     return [(lhs, rhs)]
@@ -157,7 +152,7 @@ def _i_4_5(v):
 def _i_4_4x(v):
     # trace-only formula, cleared of its denominator 2
     X, Y = _X(v), _Y(v)
-    two = _two(v)
+    two = X.ring.from_int(2)
     t, tp = X.trace(), Y.trace()
     tx2, ty2 = (X * X).trace(), (Y * Y).trace()
     s = (X * Y).trace()
@@ -207,8 +202,7 @@ def _i_4_16(v):
 
 def _i_5_8(v):
     t, dl, w, z = v["t"], v["delta"], v["w"], v["z"]
-    four = _two(v) * _two(v)
-    two = _two(v)
+    two, four = t.ring.from_int(2), t.ring.from_int(4)
     lhs = w ** 2 - (t ** 2 - four * dl) * z ** 2
     rhs = (w - t * z) ** 2 + t * (w - t * z) * (two * z) + dl * (two * z) ** 2
     return [(lhs, rhs)]
@@ -216,22 +210,21 @@ def _i_5_8(v):
 
 def _i_5_9(v):
     t, dl, x, y = v["t"], v["delta"], v["x"], v["y"]
-    four = _two(v) * _two(v)
-    two = _two(v)
+    two, four = t.ring.from_int(2), t.ring.from_int(4)
     lhs = four * (x ** 2 + t * x * y + dl * y ** 2)
     rhs = (two * x + t * y) ** 2 - (t ** 2 - four * dl) * y ** 2
     return [(lhs, rhs)]
 
 
 def _i_5_14(v):
-    four = _two(v) * _two(v)
     pairs = []
     # traceless witness equation
     a, b, c = v["a"], v["b"], v["c"]
+    two, four = a.ring.from_int(2), a.ring.from_int(4)
     e, f, g = v["e"], v["f"], v["g"]
     X0 = Mat2(a, b, c, -a)
     Y0 = Mat2(e, f, g, -e)
-    P = _two(v) * a * (a * g - c * e) + c * (b * g - c * f)
+    P = two * a * (a * g - c * e) + c * (b * g - c * f)
     Q = a * g - c * e
     disc = four * (a ** 2 + b * c)
     pairs.append((-(c ** 2) * commutator(X0, Y0).det(), P ** 2 - disc * Q ** 2))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import operator
 import re
+import struct
 from dataclasses import dataclass
 from typing import Any, Mapping
 
@@ -126,8 +127,47 @@ class ModularRing(Ring):
         return str(a)
 
 
-def _grlex_key(exps: tuple) -> tuple:
-    return (sum(exps), exps)
+# struct codes for unsigned big-endian fields, narrowest first
+_FIELD_CODES = ((8, "B"), (16, "H"), (32, "I"), (64, "Q"))
+
+
+def _monomial_codec(nvars: int, degree: int):
+    """(encode, decode) between exponent vectors and packed monomial keys.
+
+    A key holds the fields (total degree, e0, ..., e_{n-1}), most
+    significant first, each wide enough for `degree`.  While no total
+    degree exceeds `degree`, adding keys multiplies monomials with no
+    carry between fields, and integer order is graded-lex order.
+    encode(payload) lists the keys of a payload's terms; decode(keys)
+    lists the exponent vectors of keys.
+    """
+    for bits, code in _FIELD_CODES:
+        if degree >> bits == 0:
+            st = struct.Struct(f">{nvars + 1}{code}")
+            pack, size = st.pack, st.size
+            # pad bytes skip the total degree
+            unpack = struct.Struct(f">{bits // 8}x{nvars}{code}").unpack
+
+            def encode(payload):
+                return [int.from_bytes(pack(sum(e), *e), "big") for e, _ in payload]
+
+            def decode(keys):
+                return [unpack(k.to_bytes(size, "big")) for k in keys]
+
+            return encode, decode
+    # fields of 64 bits or more: shifts and masks on plain ints
+    bits = degree.bit_length()
+    mask = (1 << bits) - 1
+    shifts = range(bits * (nvars - 1), -1, -bits)
+
+    def encode(payload):
+        return [sum(e) << bits * nvars | sum(x << s for x, s in zip(e, shifts))
+                for e, _ in payload]
+
+    def decode(keys):
+        return [tuple(k >> s & mask for s in shifts) for k in keys]
+
+    return encode, decode
 
 
 @dataclass(frozen=True)
@@ -137,6 +177,14 @@ class PolynomialRing(Ring):
     Payload: tuple of (exponent-vector, nonzero int coefficient) pairs,
     sorted in descending graded-lex order.  The representation is
     canonical, so payload equality is ring equality.
+
+    Products work on packed monomial keys: each exponent vector becomes
+    one int whose big-endian fields are (total degree, e0, ..., e_{n-1}),
+    each as wide as the product's degree bound (8, 16, 32 or 64 bits,
+    wider if needed).  Adding two keys multiplies the monomials, and
+    descending integer order is descending graded-lex order, so the
+    product sorts its keys with no key function and decodes only the
+    surviving terms.
     """
 
     variables: tuple
@@ -163,9 +211,8 @@ class PolynomialRing(Ring):
         return {v: self.gen(v) for v in self.variables}
 
     def _canon(self, terms: dict) -> tuple:
-        items = [(e, c) for e, c in terms.items() if c != 0]
-        items.sort(key=lambda t: _grlex_key(t[0]), reverse=True)
-        return tuple(items)
+        items = sorted([(sum(e), e, c) for e, c in terms.items() if c], reverse=True)
+        return tuple([(e, c) for _, e, c in items])
 
     def _add(self, a, b):
         terms = dict(a)
@@ -177,12 +224,25 @@ class PolynomialRing(Ring):
         return tuple((e, -c) for e, c in a)
 
     def _mul(self, a, b):
+        if len(a) > len(b):
+            a, b = b, a
+        if not a:
+            return ()
+        if len(a) == 1:
+            # a monomial times b keeps b's order, and Z has no zero divisors
+            (ea, ca), = a
+            return tuple([(tuple(map(operator.add, ea, eb)), ca * cb) for eb, cb in b])
+        # the leading terms have the largest total degrees
+        encode, decode = _monomial_codec(len(self.variables), sum(a[0][0]) + sum(b[0][0]))
+        qb = list(zip(encode(b), [c for _, c in b]))
         terms: dict = {}
-        for ea, ca in a:
-            for eb, cb in b:
-                e = tuple(map(operator.add, ea, eb))
-                terms[e] = terms.get(e, 0) + ca * cb
-        return self._canon(terms)
+        get = terms.get
+        for qa, (_, ca) in zip(encode(a), a):
+            for q, cb in qb:
+                k = qa + q
+                terms[k] = get(k, 0) + ca * cb
+        keys = sorted([k for k, c in terms.items() if c], reverse=True)
+        return tuple(zip(decode(keys), [terms[k] for k in keys]))
 
     def _is_zero(self, a):
         return a == ()
@@ -368,8 +428,9 @@ class _Parser:
     atom       := int | name | '(' expression ')'
 
     Limits: a literal has at most MAX_INT_DIGITS digits, an exponent is at
-    most MAX_EXPONENT, and over ZZ every intermediate value has at most
-    MAX_INT_DIGITS digits; anything larger is a ParseError.
+    most MAX_EXPONENT, and over ZZ and the nil plane every coefficient of
+    every intermediate value has at most MAX_INT_DIGITS digits; anything
+    larger is a ParseError.
     """
 
     def __init__(self, ring: Ring, text: str):
@@ -406,8 +467,16 @@ class _Parser:
             value = self._sized(value * self.factor())
         return value
 
+    def _coefficients(self, value: RingValue) -> tuple:
+        """The integers the size limit applies to, constant term first."""
+        if isinstance(self.ring, IntegerRing):
+            return (value.payload,)
+        if isinstance(self.ring, NilPlaneRing):
+            return value.payload
+        return ()
+
     def _sized(self, value: RingValue) -> RingValue:
-        if isinstance(self.ring, IntegerRing) and abs(value.payload) >= _ZZ_LIMIT:
+        if any(abs(c) >= _ZZ_LIMIT for c in self._coefficients(value)):
             raise ParseError(f"integer value longer than {MAX_INT_DIGITS} digits")
         return value
 
@@ -423,9 +492,11 @@ class _Parser:
                 raise ParseError("exponent must be an integer literal")
             if n > MAX_EXPONENT:
                 raise ParseError(f"exponent larger than {MAX_EXPONENT}")
-            # |b|^n >= 2^(n*(bit_length(b)-1)): refuse a too-large power unbuilt
-            if (isinstance(self.ring, IntegerRing)
-                    and n * (abs(value.payload).bit_length() - 1) >= _ZZ_LIMIT.bit_length()):
+            # the power's constant term is b^n for the base's constant term b,
+            # and |b|^n >= 2^(n*(bit_length(b)-1)): refuse a too-large power unbuilt
+            coefficients = self._coefficients(value)
+            if (coefficients and
+                    n * (abs(coefficients[0]).bit_length() - 1) >= _ZZ_LIMIT.bit_length()):
                 raise ParseError(f"integer value longer than {MAX_INT_DIGITS} digits")
             value = self._sized(value**n)
         return value

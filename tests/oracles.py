@@ -96,3 +96,31 @@ def linear_pow(x, n: int):
     for _ in range(n):
         out = out * x
     return out
+
+
+def poly_canon(terms):
+    """Nonzero (exponents, coefficient) pairs of a dict, in descending graded-lex order."""
+    items = [(e, c) for e, c in terms.items() if c != 0]
+    items.sort(key=lambda t: (sum(t[0]), t[0]), reverse=True)
+    return tuple(items)
+
+
+def poly_add(a, b):
+    """Sum of two polynomial payloads by one dict of exponent tuples."""
+    terms = dict(a)
+    for e, c in b:
+        terms[e] = terms.get(e, 0) + c
+    return poly_canon(terms)
+
+
+def poly_mul(a, b):
+    """Product of two polynomial payloads: one exponent tuple per term pair.
+
+    The reference for PolynomialRing._mul's packed monomial keys.
+    """
+    terms = {}
+    for ea, ca in a:
+        for eb, cb in b:
+            e = tuple(x + y for x, y in zip(ea, eb))
+            terms[e] = terms.get(e, 0) + ca * cb
+    return poly_canon(terms)

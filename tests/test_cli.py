@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from commdet.cli import MAX_SEARCH_BOUND, main
+from commdet.cli import MAX_DIVISOR_TARGET, MAX_SEARCH_BOUND, main
 from commdet.identities import ALL_TAGS
 
 from oracles import commutator_det
@@ -151,6 +151,24 @@ def test_preimage_command(capsys):
                                 "--x", "15", "--y", "5", "--z", "-10",
                                 "--format", "json"])
     assert json.loads(out)["preimages"] == [[-1, -1], [1, 1]]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("z, c", [(MAX_DIVISOR_TARGET, 1), (-(10**30), 1),
+                                  (0, -MAX_DIVISOR_TARGET - 1)])
+def test_preimage_divisor_target_cap(capsys, fmt, z, c):
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["preimage", "--p", "1", "--q", "1", "--c", str(c),
+                                  "--x", "0", "--y", "0", "--z", str(z), "--format", fmt])
+    assert time.perf_counter() - start < 1
+    assert (code, out, err) == (2, "", f"|--z| + |--c| must be <= {MAX_DIVISOR_TARGET}\n")
+
+
+def test_preimage_at_divisor_target_cap(capsys):
+    code, out, _ = run(capsys, ["preimage", "--p", "1", "--q", "1", "--c", "1", "--x", "0",
+                                "--y", "0", "--z", str(MAX_DIVISOR_TARGET - 1),
+                                "--format", "json"])
+    assert (code, json.loads(out)) == (0, {"preimages": [], "bounded": False})
 
 
 def test_norm_witness_command(capsys):

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -18,7 +19,9 @@ from commdet.rings import (
     poly_substitute,
 )
 
-from oracles import linear_pow, schoolbook_multiply
+from commdet.identities import CATALOG
+
+from oracles import linear_pow, poly_add, poly_canon, poly_mul, schoolbook_multiply
 
 MOD7 = ModularRing(7)
 POLY3 = PolynomialRing(("a", "b", "c"))
@@ -73,6 +76,86 @@ def test_mul_examples():
     assert (a + b) * (a - b) == a ** 2 - b ** 2
     x = NIL.x()
     assert (x * x).is_zero()
+
+
+# largest exponent entry per case: products land in each packed field width
+# (total degree below 2^8, 2^16, 2^32, 2^64, and at or above 2^64)
+_EXPONENT_SCALES = (2**3, 2**12, 2**28, 2**60, 2**66)
+
+
+def _field_width(degree):
+    return next((bits for bits in (8, 16, 32, 64) if degree < 2**bits), "wide")
+
+
+def _rand_payload(rng, nvars, big):
+    # entries from {0, 1, big} so that products of few variables collide and cancel
+    terms = {}
+    for _ in range(rng.choice([0, 1, 1, 2, 3, 4, 5])):
+        e = tuple(rng.choice((0, 0, 1, big)) for _ in range(nvars))
+        terms[e] = rng.choice([-3, -2, -1, 1, 2, 3])
+    return poly_canon(terms)
+
+
+def _assert_canonical(payload):
+    assert all(c != 0 for _, c in payload)
+    keys = [(sum(e), e) for e, _ in payload]
+    assert all(k1 > k2 for k1, k2 in zip(keys, keys[1:]))
+
+
+def test_poly_kernel_matches_dict_oracle():
+    rng = random.Random(20261018)
+    widths, sizes = set(), set()
+    for i in range(3000):
+        nvars = 1 + i % 8
+        ring = PolynomialRing(tuple(f"v{j}" for j in range(nvars)))
+        big = rng.randint(1, _EXPONENT_SCALES[i // 8 % len(_EXPONENT_SCALES)])
+        a, b = _rand_payload(rng, nvars, big), _rand_payload(rng, nvars, big)
+        if i % 7 == 0:
+            b = tuple((e, -c) for e, c in a)
+        got = ring._mul(a, b)
+        assert got == poly_mul(a, b) == ring._mul(b, a)
+        _assert_canonical(got)
+        assert ring._add(a, b) == poly_add(a, b)
+        terms = {e: rng.randint(-2, 2) for e, _ in a + b}
+        assert ring._canon(terms) == poly_canon(terms)
+        sizes.add(min(len(a), len(b), 2))
+        if len(a) > 1 and len(b) > 1:
+            widths.add(_field_width(sum(a[0][0]) + sum(b[0][0])))
+    assert widths == {8, 16, 32, 64, "wide"}
+    assert sizes == {0, 1, 2}
+
+
+@pytest.mark.parametrize("bits", [8, 16, 32, 64])
+def test_poly_mul_at_field_width_boundaries(bits):
+    ring = PolynomialRing(("x", "y"))
+    for degree in (2**bits - 1, 2**bits):
+        # x^(degree-1) - y times x - 2: the product's total degree is `degree`
+        a = (((degree - 1, 0), 1), ((0, 1), -1))
+        b = (((1, 0), 1), ((0, 0), -2))
+        got = ring._mul(a, b)
+        assert got == poly_mul(a, b)
+        assert got[0] == ((degree, 0), 1)
+    # (x^(2^64) + 1) * (x + 1) is exact in fields wider than 64 bits
+    got = ring._mul((((2**64, 0), 1), ((0, 0), 1)), (((1, 0), 1), ((0, 0), 1)))
+    assert got == (((2**64 + 1, 0), 1), ((2**64, 0), 1), ((1, 0), 1), ((0, 0), 1))
+
+
+def test_poly_payloads_are_canonical():
+    rng = random.Random(5)
+    for nvars in (1, 3, 8):
+        ring = PolynomialRing(tuple(f"v{j}" for j in range(nvars)))
+        pool = list(ring.gens().values()) + [ring.from_int(-2), ring.one()]
+        for _ in range(300):
+            u, v = rng.choice(pool), rng.choice(pool)
+            w = rng.choice([u + v, u - v, u * v, u ** rng.randint(0, 3)])
+            _assert_canonical(w.payload)
+            if w.term_count() <= 40:
+                pool.append(w)
+    for ident in CATALOG.values():
+        ring = PolynomialRing(ident.symbols)
+        for lhs, rhs in ident.build(ring.gens()):
+            _assert_canonical(lhs.payload)
+            _assert_canonical(rhs.payload)
 
 
 def test_bigint_multiplication_against_schoolbook():
@@ -297,3 +380,23 @@ def test_parse_zz_values_stay_printable():
     # the same texts are fine where values are reduced
     assert parse_value(MOD7, "((9^9999)^9999)^9999").payload == pow(9, 9999**3, 7)
     assert parse_value(MOD7, "9^4000*9^4000").payload == pow(9, 8000, 7)
+
+
+def test_parse_nilplane_values_stay_printable():
+    # (b + x)^e = b^e + e*b^(e-1)*x: the largest accepted power is the
+    # largest whose coefficients all print
+    limit = 10**MAX_INT_DIGITS
+    for b in (3, 5, 9, 12):
+        e = 1
+        while max(b ** (e + 1), (e + 1) * b ** e) < limit:
+            e += 1
+        assert parse_value(NIL, f"({b} + x)^{e}").payload == (b ** e, e * b ** (e - 1), 0)
+        with pytest.raises(ParseError, match="longer than"):
+            parse_value(NIL, f"({b} + x)^{e + 1}")
+    big = "9" * MAX_INT_DIGITS
+    for text in ("((9+x)^9999)^20", "((9+x)^9999)^9999", "(9+x)^4000*(9+x)^4000",
+                 f"{big} + 1 + x", f"({big}*y)*2", f"-x - {big}*x"):
+        start = time.perf_counter()
+        with pytest.raises(ParseError, match="longer than"):
+            parse_value(NIL, text)
+        assert time.perf_counter() - start < 1
