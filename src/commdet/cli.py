@@ -2,8 +2,10 @@
 
 Exit codes: 0 on success, 1 on a mathematical failure (an identity
 fails, a witness does not certify, an example mismatches), 2 on a usage
-error.  JSON output is a single document on stdout; diagnostics go to
-stderr.
+error.  `--format json` writes JSON Lines on stdout: one compact
+document per line, one line per result, so `verify --all` prints one
+line per identity and every other command prints one line.  Diagnostics
+go to stderr.
 """
 
 from __future__ import annotations

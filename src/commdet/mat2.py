@@ -81,18 +81,20 @@ class Mat2:
     def __mul__(self, other: "Mat2") -> "Mat2":
         if not isinstance(other, Mat2):
             return NotImplemented
-        return Mat2(
-            self.m11 * other.m11 + self.m12 * other.m21,
-            self.m11 * other.m12 + self.m12 * other.m22,
-            self.m21 * other.m11 + self.m22 * other.m21,
-            self.m21 * other.m12 + self.m22 * other.m22,
-        )
+        ring = _shared_ring(self, other)
+        dot = ring._dot
+        a, b, c, d = self._payloads()
+        e, f, g, h = other._payloads()
+        return _from_payloads(ring, dot((a, b), (e, g)), dot((a, b), (f, h)),
+                              dot((c, d), (e, g)), dot((c, d), (f, h)))
 
     def scale(self, c: RingValue) -> "Mat2":
         return Mat2(c * self.m11, c * self.m12, c * self.m21, c * self.m22)
 
     def det(self) -> RingValue:
-        return self.m11 * self.m22 - self.m12 * self.m21
+        ring = self.ring
+        a, b, c, d = self._payloads()
+        return RingValue(ring, ring._dot((a, ring._neg(b)), (d, c)))
 
     def trace(self) -> RingValue:
         return self.m11 + self.m22
@@ -112,6 +114,9 @@ class Mat2:
     def entries(self):
         return (self.m11, self.m12, self.m21, self.m22)
 
+    def _payloads(self):
+        return (self.m11.payload, self.m12.payload, self.m21.payload, self.m22.payload)
+
     def render(self) -> str:
         return (f"[[{self.m11.render()},{self.m12.render()}],"
                 f"[{self.m21.render()},{self.m22.render()}]]")
@@ -120,14 +125,42 @@ class Mat2:
         return self.render()
 
 
+def _shared_ring(x: Mat2, y: Mat2) -> Ring:
+    ring = x.ring
+    if y.ring is not ring and y.ring != ring:
+        raise RingMismatchError(f"ring mismatch: {ring} vs {y.ring}")
+    return ring
+
+
+def _from_payloads(ring: Ring, m11, m12, m21, m22) -> Mat2:
+    return Mat2(RingValue(ring, m11), RingValue(ring, m12),
+                RingValue(ring, m21), RingValue(ring, m22))
+
+
 def commutator(x: Mat2, y: Mat2) -> Mat2:
     """XY - YX; the result always has trace zero."""
-    return x * y - y * x
+    ring = _shared_ring(x, y)
+    dot, neg = ring._dot, ring._neg
+    a, b, c, d = x._payloads()
+    e, f, g, h = y._payloads()
+    ne, nf, ng, nh = neg(e), neg(f), neg(g), neg(h)
+    # each entry is (XY)_ij - (YX)_ij, one sum of four products
+    return _from_payloads(ring, dot((a, b, ne, nf), (e, g, a, c)),
+                          dot((a, b, ne, nf), (f, h, b, d)),
+                          dot((c, d, ng, nh), (e, g, a, c)),
+                          dot((c, d, ng, nh), (f, h, b, d)))
 
 
 def cayley_hamilton_residual(m: Mat2) -> Mat2:
     """M^2 - tr(M) M + det(M) I; identically the zero matrix."""
-    return m * m - m.scale(m.trace()) + Mat2.identity(m.ring).scale(m.det())
+    ring = m.ring
+    dot, neg = ring._dot, ring._neg
+    a, b, c, d = m._payloads()
+    nt, nb = neg(ring._add(a, d)), neg(b)
+    return _from_payloads(ring, dot((a, b, nt, a, nb), (a, c, a, d, c)),
+                          dot((a, b, nt), (b, d, b)),
+                          dot((c, d, nt), (a, c, c)),
+                          dot((c, d, nt, a, nb), (b, d, d, d, c)))
 
 
 def parse_mat2(ring: Ring, text: str) -> Mat2:

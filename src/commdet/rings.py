@@ -70,6 +70,14 @@ class Ring:
     def _mul(self, a: Any, b: Any) -> Any:
         raise NotImplementedError
 
+    def _dot(self, xs, ys) -> Any:
+        """The payload of sum(x * y for x, y in zip(xs, ys)): a fold of _mul and _add."""
+        out = None
+        for x, y in zip(xs, ys):
+            term = self._mul(x, y)
+            out = term if out is None else self._add(out, term)
+        return self.zero().payload if out is None else out
+
     def _is_zero(self, a: Any) -> bool:
         raise NotImplementedError
 
@@ -90,6 +98,9 @@ class IntegerRing(Ring):
 
     def _mul(self, a, b):
         return a * b
+
+    def _dot(self, xs, ys):
+        return sum(map(operator.mul, xs, ys))
 
     def _is_zero(self, a):
         return a == 0
@@ -119,6 +130,9 @@ class ModularRing(Ring):
 
     def _mul(self, a, b):
         return (a * b) % self.modulus
+
+    def _dot(self, xs, ys):
+        return sum(map(operator.mul, xs, ys)) % self.modulus
 
     def _is_zero(self, a):
         return a == 0
@@ -170,6 +184,10 @@ def _monomial_codec(nvars: int, degree: int):
     return encode, decode
 
 
+# closes a run in PolynomialRing._add: total degree -1 sorts after every term
+_END = ((-1,), 0)
+
+
 @dataclass(frozen=True)
 class PolynomialRing(Ring):
     """Sparse polynomials over Z in a fixed ordered tuple of variables.
@@ -178,13 +196,17 @@ class PolynomialRing(Ring):
     sorted in descending graded-lex order.  The representation is
     canonical, so payload equality is ring equality.
 
-    Products work on packed monomial keys: each exponent vector becomes
-    one int whose big-endian fields are (total degree, e0, ..., e_{n-1}),
-    each as wide as the product's degree bound (8, 16, 32 or 64 bits,
-    wider if needed).  Adding two keys multiplies the monomials, and
-    descending integer order is descending graded-lex order, so the
-    product sorts its keys with no key function and decodes only the
-    surviving terms.
+    Sums of products, _dot(xs, ys) = sum of x_i * y_i, work on packed
+    monomial keys: each exponent vector becomes one int whose big-endian
+    fields are (total degree, e0, ..., e_{n-1}), each as wide as the
+    largest degree bound over the pairs (8, 16, 32 or 64 bits, wider if
+    needed).  Adding two keys multiplies the monomials, and descending
+    integer order is descending graded-lex order, so one dict collects
+    every pair's products, cancellations included, and the result sorts
+    its keys once with no key function and decodes only the surviving
+    terms.  _mul is a one-pair _dot, except that a monomial operand
+    shifts the other's terms in place.  _add merges its two sorted
+    operands in one linear pass.
     """
 
     variables: tuple
@@ -215,10 +237,36 @@ class PolynomialRing(Ring):
         return tuple([(e, c) for _, e, c in items])
 
     def _add(self, a, b):
-        terms = dict(a)
-        for e, c in b:
-            terms[e] = terms.get(e, 0) + c
-        return self._canon(terms)
+        if not a:
+            return b
+        if not b:
+            return a
+        # merge the two descending runs; _END closes each run
+        out = []
+        append = out.append
+        ia, ib = iter(a), iter(b)
+        ta, tb = next(ia), next(ib)
+        ea, eb = ta[0], tb[0]
+        sa, sb = sum(ea), sum(eb)
+        while sa >= 0 or sb >= 0:
+            if sa > sb or (sa == sb and ea > eb):
+                append(ta)
+                ta = next(ia, _END)
+                ea = ta[0]
+                sa = sum(ea)
+            elif sa < sb or ea < eb:
+                append(tb)
+                tb = next(ib, _END)
+                eb = tb[0]
+                sb = sum(eb)
+            else:
+                c = ta[1] + tb[1]
+                if c:
+                    append((ea, c))
+                ta, tb = next(ia, _END), next(ib, _END)
+                ea, eb = ta[0], tb[0]
+                sa, sb = sum(ea), sum(eb)
+        return tuple(out)
 
     def _neg(self, a):
         return tuple((e, -c) for e, c in a)
@@ -226,21 +274,29 @@ class PolynomialRing(Ring):
     def _mul(self, a, b):
         if len(a) > len(b):
             a, b = b, a
-        if not a:
-            return ()
         if len(a) == 1:
             # a monomial times b keeps b's order, and Z has no zero divisors
             (ea, ca), = a
             return tuple([(tuple(map(operator.add, ea, eb)), ca * cb) for eb, cb in b])
-        # the leading terms have the largest total degrees
-        encode, decode = _monomial_codec(len(self.variables), sum(a[0][0]) + sum(b[0][0]))
-        qb = list(zip(encode(b), [c for _, c in b]))
+        return self._dot((a,), (b,))
+
+    def _dot(self, xs, ys):
+        # shorter operand outermost; a pair with a zero operand adds nothing
+        pairs = [(a, b) if len(a) <= len(b) else (b, a) for a, b in zip(xs, ys) if a and b]
+        if not pairs:
+            return ()
+        # the leading terms have the largest total degrees; one codec must
+        # hold the largest product of any pair
+        degree = max(sum(a[0][0]) + sum(b[0][0]) for a, b in pairs)
+        encode, decode = _monomial_codec(len(self.variables), degree)
         terms: dict = {}
         get = terms.get
-        for qa, (_, ca) in zip(encode(a), a):
-            for q, cb in qb:
-                k = qa + q
-                terms[k] = get(k, 0) + ca * cb
+        for a, b in pairs:
+            qb = list(zip(encode(b), [c for _, c in b]))
+            for qa, (_, ca) in zip(encode(a), a):
+                for q, cb in qb:
+                    k = qa + q
+                    terms[k] = get(k, 0) + ca * cb
         keys = sorted([k for k, c in terms.items() if c], reverse=True)
         return tuple(zip(decode(keys), [terms[k] for k in keys]))
 

@@ -124,3 +124,14 @@ def poly_mul(a, b):
             e = tuple(x + y for x, y in zip(ea, eb))
             terms[e] = terms.get(e, 0) + ca * cb
     return poly_canon(terms)
+
+
+def poly_dot(xs, ys):
+    """Sum of products of polynomial payloads: a fold of poly_mul and poly_add.
+
+    The reference for PolynomialRing._dot's one dict over all pairs.
+    """
+    out = ()
+    for a, b in zip(xs, ys):
+        out = poly_add(out, poly_mul(a, b))
+    return out

@@ -21,7 +21,7 @@ from commdet.rings import (
 
 from commdet.identities import CATALOG
 
-from oracles import linear_pow, poly_add, poly_canon, poly_mul, schoolbook_multiply
+from oracles import linear_pow, poly_add, poly_canon, poly_dot, poly_mul, schoolbook_multiply
 
 MOD7 = ModularRing(7)
 POLY3 = PolynomialRing(("a", "b", "c"))
@@ -123,6 +123,109 @@ def test_poly_kernel_matches_dict_oracle():
             widths.add(_field_width(sum(a[0][0]) + sum(b[0][0])))
     assert widths == {8, 16, 32, 64, "wide"}
     assert sizes == {0, 1, 2}
+
+
+def _dot_degree(xs, ys):
+    return max((sum(a[0][0]) + sum(b[0][0]) for a, b in zip(xs, ys) if a and b), default=0)
+
+
+def test_poly_dot_matches_fold_oracle():
+    rng = random.Random(20261019)
+    kinds = set()
+    for i in range(3000):
+        nvars = 1 + i % 8
+        ring = PolynomialRing(tuple(f"v{j}" for j in range(nvars)))
+        scale = _EXPONENT_SCALES[i // 8 % len(_EXPONENT_SCALES)]
+        npairs = i % 5
+        xs = [_rand_payload(rng, nvars, rng.randint(1, scale)) for _ in range(npairs)]
+        ys = [_rand_payload(rng, nvars, rng.randint(1, scale)) for _ in range(npairs)]
+        zero, unit = (0,) * nvars, (1,) + (0,) * (nvars - 1)
+        # x - 1, and 2x^(2^k) + 1 whose product with it needs k+1 bits
+        low = ((unit, 1), (zero, -1))
+        high = (((2 ** (8 + 8 * (i % 4)),) + unit[1:], 2), (zero, 1))
+        if i % 6 == 1 and npairs:
+            # the last pair cancels the first one
+            xs.append(tuple((e, -c) for e, c in xs[0]))
+            ys.append(ys[0])
+            kinds.add("cancel")
+        elif i % 6 == 2:
+            # a low-degree first pair, then a pair that needs a wider field
+            xs, ys = [low] + xs + [high], [low] + ys + [low]
+            kinds.add("widen")
+        elif i % 6 == 3 and npairs:
+            xs[0] = (xs[0] or low)[:1]
+            kinds.add("monomial")
+        got = ring._dot(tuple(xs), tuple(ys))
+        assert got == poly_dot(xs, ys)
+        _assert_canonical(got)
+        if not xs:
+            assert got == ()
+            kinds.add("empty")
+        if xs and got == () and any(a and b for a, b in zip(xs, ys)):
+            kinds.add("zero")
+        if len(xs) == 1:
+            assert got == ring._mul(xs[0], ys[0]) == poly_mul(xs[0], ys[0])
+        if xs and _field_width(_dot_degree(xs[:1], ys[:1])) != _field_width(_dot_degree(xs, ys)):
+            kinds.add("wider later")
+    assert kinds == {"cancel", "widen", "monomial", "empty", "zero", "wider later"}
+
+
+def test_poly_add_merge_matches_dict_oracle():
+    rng = random.Random(20261020)
+    for i in range(3000):
+        nvars = 1 + i % 8
+        ring = PolynomialRing(tuple(f"v{j}" for j in range(nvars)))
+        big = rng.randint(1, _EXPONENT_SCALES[i // 8 % len(_EXPONENT_SCALES)])
+        a, b = _rand_payload(rng, nvars, big), _rand_payload(rng, nvars, big)
+        if i % 5 == 0:
+            b = tuple((e, -c) for e, c in a)
+        elif i % 5 == 1:
+            # a shares some monomials with b, with random coefficients
+            b = poly_canon({**dict(b), **{e: rng.choice([-c, c, 2 * c]) for e, c in a[::2]}})
+        got = ring._add(a, b)
+        assert got == poly_add(a, b) == ring._add(b, a)
+        _assert_canonical(got)
+    # constants only, including a ring with no variables
+    for ring in (PolynomialRing(()), PolynomialRing(("x",))):
+        z = (0,) * len(ring.variables)
+        assert ring._add(((z, 1),), ((z, 2),)) == ((z, 3),)
+        assert ring._add(((z, 1),), ((z, -1),)) == ()
+        assert ring._add((), ((z, 5),)) == ((z, 5),)
+
+
+@pytest.mark.parametrize("ring", [ZZ, MOD7, ModularRing(2**64 - 59), NIL], ids=str)
+def test_scalar_dot_matches_int_sums(ring):
+    rng = random.Random(20261021)
+    modulus = getattr(ring, "modulus", 0)
+    for i in range(3000):
+        npairs = i % 6
+        if isinstance(ring, NilPlaneRing):
+            xs = [tuple(rng.randint(-10**6, 10**6) for _ in range(3)) for _ in range(npairs)]
+            ys = [tuple(rng.randint(-10**6, 10**6) for _ in range(3)) for _ in range(npairs)]
+            want = (sum(x[0] * y[0] for x, y in zip(xs, ys)),
+                    sum(x[0] * y[1] + x[1] * y[0] for x, y in zip(xs, ys)),
+                    sum(x[0] * y[2] + x[2] * y[0] for x, y in zip(xs, ys)))
+        else:
+            hi = modulus - 1 if modulus else 10**30
+            xs = [rng.randint(0 if modulus else -hi, hi) for _ in range(npairs)]
+            ys = [rng.randint(0 if modulus else -hi, hi) for _ in range(npairs)]
+            want = sum(x * y for x, y in zip(xs, ys))
+            if modulus:
+                want %= modulus
+        assert ring._dot(tuple(xs), tuple(ys)) == want
+
+
+def test_nilplane_dot_with_polynomial_coefficients():
+    # the nil plane's default _dot folds _mul and _add, so its coefficients
+    # may come from any ring
+    g = POLY3.gens()
+    u = (g["a"], g["b"], POLY3.from_int(2))
+    v = (g["c"], POLY3.one(), g["a"] * g["b"])
+    w = (POLY3.from_int(-1), g["c"], g["a"])
+    got = NIL._dot((u, v), (w, u))
+    want = NIL._add(NIL._mul(u, w), NIL._mul(v, u))
+    assert got == want
+    assert got[0] == -g["a"] + g["c"] * g["a"]
 
 
 @pytest.mark.parametrize("bits", [8, 16, 32, 64])
