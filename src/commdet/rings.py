@@ -9,11 +9,13 @@ All values are immutable; every operation returns a fresh value.
 
 from __future__ import annotations
 
+import functools
+import math
 import operator
 import re
 import struct
 from dataclasses import dataclass
-from typing import Any, Mapping
+from typing import Any, Mapping, NamedTuple
 
 __all__ = [
     "RingMismatchError",
@@ -29,6 +31,7 @@ __all__ = [
     "parse_value",
     "MAX_EXPONENT",
     "MAX_INT_DIGITS",
+    "MAX_PARSE_PAIRS",
 ]
 
 # Largest exponent parse_value accepts after '^'.
@@ -38,6 +41,10 @@ MAX_EXPONENT = 10**4
 # (sys.get_int_max_str_digits()), so any accepted value can be printed.
 MAX_INT_DIGITS = 4300
 _ZZ_LIMIT = 10**MAX_INT_DIGITS
+# Term products one parse_value call may compute, summed over all of its
+# '*' and '^' and weighted up for coefficients of over 1024 bits: the work
+# and size of a parsed polynomial grow with this count.
+MAX_PARSE_PAIRS = 2**18
 
 
 class RingMismatchError(ValueError):
@@ -142,46 +149,98 @@ class ModularRing(Ring):
 
 
 # struct codes for unsigned big-endian fields, narrowest first
-_FIELD_CODES = ((8, "B"), (16, "H"), (32, "I"), (64, "Q"))
+_FIELD_CODES = {8: "B", 16: "H", 32: "I", 64: "Q"}
+# Entries per interning table of one monomial codec; a full table is cleared.
+_INTERN_CAP = 2**14
 
 
-def _monomial_codec(nvars: int, degree: int):
-    """(encode, decode) between exponent vectors and packed monomial keys.
+def _field_bits(degree: int) -> int:
+    """Width of each packed-key field that holds total degrees up to `degree`."""
+    n = degree.bit_length()
+    return next((bits for bits in _FIELD_CODES if n <= bits), n)
+
+
+def _monomial_packers(nvars: int, bits: int):
+    """(pack, unpack) between one exponent vector and its packed key, uncached.
 
     A key holds the fields (total degree, e0, ..., e_{n-1}), most
-    significant first, each wide enough for `degree`.  While no total
-    degree exceeds `degree`, adding keys multiplies monomials with no
-    carry between fields, and integer order is graded-lex order.
-    encode(payload) lists the keys of a payload's terms; decode(keys)
-    lists the exponent vectors of keys.
+    significant first, each `bits` wide.  While no total degree needs more
+    than `bits` bits, adding keys multiplies monomials with no carry
+    between fields, and integer order is graded-lex order.
     """
-    for bits, code in _FIELD_CODES:
-        if degree >> bits == 0:
-            st = struct.Struct(f">{nvars + 1}{code}")
-            pack, size = st.pack, st.size
-            # pad bytes skip the total degree
-            unpack = struct.Struct(f">{bits // 8}x{nvars}{code}").unpack
+    code = _FIELD_CODES.get(bits)
+    if code:
+        st = struct.Struct(f">{nvars + 1}{code}")
+        pack_fields, size = st.pack, st.size
+        # pad bytes skip the total degree
+        unpack_fields = struct.Struct(f">{bits // 8}x{nvars}{code}").unpack
 
-            def encode(payload):
-                return [int.from_bytes(pack(sum(e), *e), "big") for e, _ in payload]
+        def pack(e):
+            return int.from_bytes(pack_fields(sum(e), *e), "big")
 
-            def decode(keys):
-                return [unpack(k.to_bytes(size, "big")) for k in keys]
+        def unpack(k):
+            return unpack_fields(k.to_bytes(size, "big"))
 
-            return encode, decode
+        return pack, unpack
     # fields of 64 bits or more: shifts and masks on plain ints
-    bits = degree.bit_length()
     mask = (1 << bits) - 1
     shifts = range(bits * (nvars - 1), -1, -bits)
+    top = bits * nvars
 
-    def encode(payload):
-        return [sum(e) << bits * nvars | sum(x << s for x, s in zip(e, shifts))
-                for e, _ in payload]
+    def pack(e):
+        return sum(e) << top | sum([x << s for x, s in zip(e, shifts)])
 
-    def decode(keys):
-        return [tuple(k >> s & mask for s in shifts) for k in keys]
+    def unpack(k):
+        return tuple([k >> s & mask for s in shifts])
 
-    return encode, decode
+    return pack, unpack
+
+
+def _interned(table: dict, miss):
+    """items -> [table[x] for x in items], storing miss(x) for every absent x.
+
+    The table is cleared whenever it is full, so it never holds more than
+    _INTERN_CAP entries.
+    """
+    get = table.__getitem__
+
+    def lookup(items):
+        try:
+            return list(map(get, items))
+        except KeyError:
+            pass
+        out = []
+        for x in items:
+            y = table.get(x)
+            if y is None:
+                if len(table) >= _INTERN_CAP:
+                    table.clear()
+                y = table[x] = miss(x)
+            out.append(y)
+        return out
+
+    return lookup
+
+
+class _MonomialCodec(NamedTuple):
+    """Interned packing for one (number of variables, field width).
+
+    encode(exponent vectors) lists their packed keys, decode(keys) their
+    exponent vectors; `keys` and `exps` are the two interning tables.
+    """
+
+    encode: Any
+    decode: Any
+    keys: dict
+    exps: dict
+
+
+@functools.lru_cache(maxsize=32)
+def _monomial_codec(nvars: int, bits: int) -> _MonomialCodec:
+    pack, unpack = _monomial_packers(nvars, bits)
+    keys: dict = {}
+    exps: dict = {}
+    return _MonomialCodec(_interned(keys, pack), _interned(exps, unpack), keys, exps)
 
 
 # closes a run in PolynomialRing._add: total degree -1 sorts after every term
@@ -207,6 +266,14 @@ class PolynomialRing(Ring):
     terms.  _mul is a one-pair _dot, except that a monomial operand
     shifts the other's terms in place.  _add merges its two sorted
     operands in one linear pass.
+
+    Packing is interned: one codec per (number of variables, field width),
+    shared by every ring and kept by a bounded functools.lru_cache, owns
+    two tables, exponent vector -> key and key -> exponent vector.  Only a
+    vector or key not yet in its table is packed or unpacked; each table
+    holds at most _INTERN_CAP (2**14) entries and is cleared when full.
+    Decoded exponent vectors are therefore shared tuples, which is safe
+    because they are immutable.
     """
 
     variables: tuple
@@ -288,15 +355,17 @@ class PolynomialRing(Ring):
         # the leading terms have the largest total degrees; one codec must
         # hold the largest product of any pair
         degree = max(sum(a[0][0]) + sum(b[0][0]) for a, b in pairs)
-        encode, decode = _monomial_codec(len(self.variables), degree)
+        encode, decode, _, _ = _monomial_codec(len(self.variables), _field_bits(degree))
         terms: dict = {}
         get = terms.get
         for a, b in pairs:
-            qb = list(zip(encode(b), [c for _, c in b]))
-            for qa, (_, ca) in zip(encode(a), a):
-                for q, cb in qb:
+            eb, cb = zip(*b)
+            qb = list(zip(encode(eb), cb))
+            ea, ca = zip(*a)
+            for qa, c in zip(encode(ea), ca):
+                for q, cq in qb:
                     k = qa + q
-                    terms[k] = get(k, 0) + ca * cb
+                    terms[k] = get(k, 0) + c * cq
         keys = sorted([k for k, c in terms.items() if c], reverse=True)
         return tuple(zip(decode(keys), [terms[k] for k in keys]))
 
@@ -383,6 +452,9 @@ class RingValue:
 
     def __sub__(self, other: "RingValue") -> "RingValue":
         self._check(other)
+        # payloads are canonical: equal operands cancel without a merge
+        if self.payload == other.payload:
+            return self.ring.zero()
         return RingValue(self.ring, self.ring._add(self.payload, self.ring._neg(other.payload)))
 
     def __neg__(self) -> "RingValue":
@@ -475,6 +547,34 @@ def _tokenize(text: str) -> list:
     return tokens
 
 
+def _product_cost(pairs: int, bits_a: int, bits_b: int) -> int:
+    """The parse budget charged for `pairs` products of coefficients of the given bit sizes."""
+    return pairs * (1 + (bits_a * bits_b >> 20))
+
+
+def _power_cost(terms: int, bits: int, n: int, limit: int) -> int:
+    """An upper bound on the _product_cost of x ** n.
+
+    x has `terms` terms with coefficients of at most `bits` bits.  The
+    bound follows the products of RingValue.__pow__: x ** k has at most
+    C(terms-1+k, terms-1) terms, the number of monomials of degree k in
+    `terms` symbols, and coefficients below (terms * 2**bits) ** k.  Stops
+    early once the cost exceeds `limit`.
+    """
+    grow = bits + terms.bit_length()
+    cost, k = 0, 1
+    for bit in bin(n)[3:]:
+        size = math.comb(terms - 1 + k, terms - 1)
+        cost += _product_cost(size * size, k * grow, k * grow)
+        k *= 2
+        if bit == "1":
+            cost += _product_cost(math.comb(terms - 1 + k, terms - 1) * terms, k * grow, bits)
+            k += 1
+        if cost > limit:
+            break
+    return cost
+
+
 class _Parser:
     """Recursive-descent parser for the shared element grammar.
 
@@ -484,15 +584,20 @@ class _Parser:
     atom       := int | name | '(' expression ')'
 
     Limits: a literal has at most MAX_INT_DIGITS digits, an exponent is at
-    most MAX_EXPONENT, and over ZZ and the nil plane every coefficient of
-    every intermediate value has at most MAX_INT_DIGITS digits; anything
-    larger is a ParseError.
+    most MAX_EXPONENT, and over ZZ, the nil plane and polynomial rings
+    every coefficient of every intermediate value has at most
+    MAX_INT_DIGITS digits.  Before it is computed, every product of
+    polynomials is charged its term pairs, weighted up for large
+    coefficients (_product_cost), and every power of a polynomial of
+    several terms the bound of _power_cost, against one budget of
+    MAX_PARSE_PAIRS per parse.  Anything larger is a ParseError.
     """
 
     def __init__(self, ring: Ring, text: str):
         self.ring = ring
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.budget = MAX_PARSE_PAIRS
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None)
@@ -520,15 +625,34 @@ class _Parser:
         value = self.factor()
         while self.peek() == ("op", "*"):
             self.take()
-            value = self._sized(value * self.factor())
+            rhs = self.factor()
+            if isinstance(self.ring, PolynomialRing):
+                self._charge(_product_cost(len(value.payload) * len(rhs.payload),
+                                           self._bits(value), self._bits(rhs)))
+            value = self._sized(value * rhs)
         return value
 
+    def _charge(self, cost: int) -> None:
+        if cost > self.budget:
+            raise ParseError(f"expansion larger than {MAX_PARSE_PAIRS} term products")
+        self.budget -= cost
+
+    def _bits(self, value: RingValue) -> int:
+        return max([abs(c).bit_length() for c in self._coefficients(value)], default=0)
+
     def _coefficients(self, value: RingValue) -> tuple:
-        """The integers the size limit applies to, constant term first."""
+        """The integers the size limit applies to.
+
+        The first one, if any, is a coefficient whose n-th power is a
+        coefficient of value ** n: the constant term of a nil-plane value,
+        the leading coefficient of a polynomial.
+        """
         if isinstance(self.ring, IntegerRing):
             return (value.payload,)
         if isinstance(self.ring, NilPlaneRing):
             return value.payload
+        if isinstance(self.ring, PolynomialRing):
+            return tuple([c for _, c in value.payload])
         return ()
 
     def _sized(self, value: RingValue) -> RingValue:
@@ -548,12 +672,14 @@ class _Parser:
                 raise ParseError("exponent must be an integer literal")
             if n > MAX_EXPONENT:
                 raise ParseError(f"exponent larger than {MAX_EXPONENT}")
-            # the power's constant term is b^n for the base's constant term b,
+            # the power has the coefficient b^n for the first coefficient b,
             # and |b|^n >= 2^(n*(bit_length(b)-1)): refuse a too-large power unbuilt
             coefficients = self._coefficients(value)
             if (coefficients and
                     n * (abs(coefficients[0]).bit_length() - 1) >= _ZZ_LIMIT.bit_length()):
                 raise ParseError(f"integer value longer than {MAX_INT_DIGITS} digits")
+            if isinstance(self.ring, PolynomialRing) and len(value.payload) > 1:
+                self._charge(_power_cost(len(value.payload), self._bits(value), n, self.budget))
             value = self._sized(value**n)
         return value
 

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from commdet.rings import (
     MAX_EXPONENT,
     MAX_INT_DIGITS,
+    MAX_PARSE_PAIRS,
     IntegerRing,
     ModularRing,
     NilPlaneRing,
@@ -19,6 +20,7 @@ from commdet.rings import (
     poly_substitute,
 )
 
+from commdet.rings import _INTERN_CAP, _field_bits, _monomial_codec, _monomial_packers
 from commdet.identities import CATALOG
 
 from oracles import linear_pow, poly_add, poly_canon, poly_dot, poly_mul, schoolbook_multiply
@@ -168,6 +170,112 @@ def test_poly_dot_matches_fold_oracle():
         if xs and _field_width(_dot_degree(xs[:1], ys[:1])) != _field_width(_dot_degree(xs, ys)):
             kinds.add("wider later")
     assert kinds == {"cancel", "widen", "monomial", "empty", "zero", "wider later"}
+
+
+def _reference_key(e, bits):
+    """The packed key of an exponent vector: fields (total degree, e0, ...), `bits` wide."""
+    key = 0
+    for field in (sum(e),) + tuple(e):
+        assert field < 2**bits
+        key = key << bits | field
+    return key
+
+
+def test_interned_codec_matches_uncached_packers():
+    rng = random.Random(20261022)
+    for nvars in (1, 3, 8):
+        # the same nvars at every width: one codec per (nvars, width)
+        for bits in (8, 16, 32, 64, 80):
+            pack, unpack = _monomial_packers(nvars, bits)
+            codec = _monomial_codec(nvars, bits)
+            assert codec is _monomial_codec(nvars, bits)
+            top = 2**bits // nvars - 1
+            exps = [tuple(rng.choice((0, 1, rng.randint(0, top))) for _ in range(nvars))
+                    for _ in range(200)]
+            exps += exps[:50]
+            want = [pack(e) for e in exps]
+            assert want == [_reference_key(e, bits) for e in exps]
+            assert [unpack(k) for k in want] == exps
+            # a partly filled table, then the cached second call
+            codec.encode(exps[::2])
+            assert codec.encode(exps) == want
+            assert codec.encode(exps) == want
+            codec.decode(want[1::2])
+            assert codec.decode(want) == exps
+            assert codec.decode(want) == exps
+            assert codec.decode(codec.encode(exps)) == exps
+    assert [_field_bits(d) for d in (0, 255, 256, 2**16 - 1, 2**16, 2**32, 2**64 - 1)] == [
+        8, 8, 16, 16, 32, 64, 64]
+    assert _field_bits(2**64) == 65 and _field_bits(2**80 - 1) == 80
+
+
+def test_poly_dot_after_intern_tables_clear():
+    nvars = 8
+    ring = PolynomialRing(tuple(f"v{j}" for j in range(nvars)))
+    codec = _monomial_codec(nvars, 8)
+    # more than _INTERN_CAP distinct monomials in one operand and in the product
+    wide = poly_canon({(i % 7, i // 7 % 7, i // 49 % 7, i // 343 % 7, i // 2401 % 7, i // 16807,
+                        0, 0): 1 + i % 5 for i in range(_INTERN_CAP + 1000)})
+    low = ((((0,) * 7 + (1,)), 1), ((0,) * 8, -1))
+    assert _field_bits(sum(wide[0][0]) + 1) == 8
+    sizes = []
+    got = ring._dot((wide,), (low,))
+    assert got == poly_mul(wide, low)
+    sizes.append((len(codec.keys), len(codec.exps)))
+    assert all(n <= _INTERN_CAP for n in sizes[-1])
+    rng = random.Random(20261023)
+    for i in range(3000):
+        npairs = 1 + i % 4
+        xs = [_rand_payload(rng, nvars, rng.randint(1, 9)) for _ in range(npairs)]
+        ys = [_rand_payload(rng, nvars, rng.randint(1, 9)) for _ in range(npairs)]
+        got = ring._dot(tuple(xs), tuple(ys))
+        assert got == poly_dot(xs, ys)
+        _assert_canonical(got)
+        assert len(codec.keys) <= _INTERN_CAP and len(codec.exps) <= _INTERN_CAP
+        sizes.append((len(codec.keys), len(codec.exps)))
+    # the big product filled and cleared both tables, and the cases refilled them
+    assert sizes[0][0] < _INTERN_CAP and sizes[0][1] < _INTERN_CAP
+    assert sizes[-1][0] > sizes[0][0] or sizes[-1][1] > sizes[0][1]
+
+
+_SUB_RINGS = [ZZ, MOD7, ModularRing(2**64 - 59), NIL, PolynomialRing(("x",)),
+              PolynomialRing(tuple(f"v{j}" for j in range(8)))]
+
+
+@pytest.mark.parametrize("ring", _SUB_RINGS, ids=str)
+def test_sub_cancels_equal_payloads(ring):
+    rng = random.Random(20261024)
+    zero = ring.zero()
+    kinds = set()
+    for i in range(3000):
+        x, y, z = (rand_value(ring, rng) for _ in range(3))
+        if i % 4 == 1:
+            # an equal value built by another expression
+            y = (x + z) - z if i % 8 == 1 else (x * (z + ring.one())) - x * z
+            assert y.payload == x.payload
+        elif i % 4 == 2:
+            # shares every term of x but one
+            y = x + ring.one()
+        got = x - y
+        assert got == x + (-y)
+        if x == y:
+            assert got.payload == zero.payload and got.is_zero()
+            kinds.add("equal")
+        else:
+            assert not got.is_zero()
+            kinds.add("unequal")
+        assert (x - x).payload == zero.payload
+    assert kinds == {"equal", "unequal"}
+
+
+def test_poly_sub_of_equal_expansions():
+    g = POLY3.gens()
+    a, b, c = g["a"], g["b"], g["c"]
+    lhs = (a + b + c) ** 3
+    rhs = (a + b + c) * (a + b + c) ** 2
+    assert lhs is not rhs and (lhs - rhs).payload == ()
+    assert ((a + b) * (a - b) - (a ** 2 - b ** 2)) == POLY3.zero()
+    assert (lhs - (rhs + a)).payload == (-a).payload
 
 
 def test_poly_add_merge_matches_dict_oracle():
@@ -503,3 +611,36 @@ def test_parse_nilplane_values_stay_printable():
         with pytest.raises(ParseError, match="longer than"):
             parse_value(NIL, text)
         assert time.perf_counter() - start < 1
+
+
+def _refusal_seconds(ring, text, match):
+    """Fastest of three parses of `text`, each of which must be refused."""
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        with pytest.raises(ParseError, match=match):
+            parse_value(ring, text)
+        times.append(time.perf_counter() - start)
+    return min(times)
+
+
+def test_parse_polynomial_expansion_cap():
+    ring = PolynomialRing(("a", "b", "c"))
+    power = linear_pow(parse_value(ring, "a+b+c+1"), 20)
+    assert parse_value(ring, "(a+b+c+1)^20") == power
+    assert parse_value(ring, "(a+b+c+1)^20 + (a+b+c+1)^20") == power + power
+    # refused before expanding
+    for text in ("(a+b+c+1)^40", "(a+b+c+1)^20*(a+b+c+1)^20", "(a+1)^10000",
+                 "(10^100*a+10^100*b+10^100*c+1)^25"):
+        assert _refusal_seconds(ring, text, "term products") < 0.05
+    # refused once the budget runs out, here while every product and power fits
+    for text in ("(a+b+c+1)^20 + (a+b+c+1)^40",
+                 " + ".join(["(a+b+c+1)^20"] * 4), "*".join(["(a+b+c+1)^4"] * 8)):
+        assert _refusal_seconds(ring, text, f"larger than {MAX_PARSE_PAIRS} term") < 1
+
+
+def test_parse_polynomial_coefficients_stay_printable():
+    ring = PolynomialRing(("a", "b"))
+    assert parse_value(ring, "(3*a)^9000").payload == (((9000, 0), 3**9000),)
+    for text in ("(9^9999)^9999", "(9*a + 1)^9999", "10^4300*a", "(10^2200*a)*(10^2200*b)"):
+        assert _refusal_seconds(ring, text, "longer than") < 0.05
