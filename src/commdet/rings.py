@@ -15,7 +15,8 @@ import operator
 import re
 import struct
 from dataclasses import dataclass
-from typing import Any, Mapping, NamedTuple
+from itertools import filterfalse, repeat
+from typing import Any, Mapping
 
 __all__ = [
     "RingMismatchError",
@@ -150,8 +151,10 @@ class ModularRing(Ring):
 
 # struct codes for unsigned big-endian fields, narrowest first
 _FIELD_CODES = {8: "B", 16: "H", 32: "I", 64: "Q"}
-# Entries per interning table of one monomial codec; a full table is cleared.
+# Entries in the interning table of a codec with 8 or fewer variables and
+# 8-bit fields (fewer for longer keys), and codecs kept at once.
 _INTERN_CAP = 2**14
+_CODEC_CAP = 4
 
 
 def _field_bits(degree: int) -> int:
@@ -161,7 +164,7 @@ def _field_bits(degree: int) -> int:
 
 
 def _monomial_packers(nvars: int, bits: int):
-    """(pack, unpack) between one exponent vector and its packed key, uncached.
+    """(encode, decode) between exponent vectors and packed keys, in bulk, uncached.
 
     A key holds the fields (total degree, e0, ..., e_{n-1}), most
     significant first, each `bits` wide.  While no total degree needs more
@@ -170,77 +173,65 @@ def _monomial_packers(nvars: int, bits: int):
     """
     code = _FIELD_CODES.get(bits)
     if code:
-        st = struct.Struct(f">{nvars + 1}{code}")
-        pack_fields, size = st.pack, st.size
+        pack = struct.Struct(f">{nvars + 1}{code}").pack
+        size = (nvars + 1) * bits // 8
         # pad bytes skip the total degree
-        unpack_fields = struct.Struct(f">{bits // 8}x{nvars}{code}").unpack
+        unpack_all = struct.Struct(f">{bits // 8}x{nvars}{code}").iter_unpack
 
-        def pack(e):
-            return int.from_bytes(pack_fields(sum(e), *e), "big")
+        def encode(exps):
+            fields = map(pack, map(sum, exps), *zip(*exps))
+            return list(map(int.from_bytes, fields, repeat("big")))
 
-        def unpack(k):
-            return unpack_fields(k.to_bytes(size, "big"))
+        def decode(keys):
+            data = b"".join(map(int.to_bytes, keys, repeat(size), repeat("big")))
+            return list(unpack_all(data))
 
-        return pack, unpack
+        return encode, decode
     # fields of 64 bits or more: shifts and masks on plain ints
     mask = (1 << bits) - 1
     shifts = range(bits * (nvars - 1), -1, -bits)
     top = bits * nvars
 
-    def pack(e):
-        return sum(e) << top | sum([x << s for x, s in zip(e, shifts)])
+    def encode(exps):
+        return [sum(e) << top | sum([x << s for x, s in zip(e, shifts)]) for e in exps]
 
-    def unpack(k):
-        return tuple([k >> s & mask for s in shifts])
+    def decode(keys):
+        return [tuple([k >> s & mask for s in shifts]) for k in keys]
 
-    return pack, unpack
+    return encode, decode
 
 
-def _interned(table: dict, miss):
-    """items -> [table[x] for x in items], storing miss(x) for every absent x.
+@functools.lru_cache(maxsize=_CODEC_CAP)
+def _monomial_codec(nvars: int, bits: int):
+    """(encode, decode) for one (number of variables, field width); encode is interned.
 
-    The table is cleared whenever it is full, so it never holds more than
-    _INTERN_CAP entries.
+    encode looks exponent vectors up in one table and packs only those it
+    lacks, storing them while the table has room; a full table is kept, not
+    cleared.  Operand monomials recur (a product's terms are the next
+    product's operands), so the table serves most of them even when the
+    products range over more monomials than it holds.  A table of product
+    keys costs more than it saves unless products keep to a small set of
+    monomials, so decode unpacks every key.
     """
+    pack_all, decode = _monomial_packers(nvars, bits)
+    # no table holds more key bits than a full one of 8 variables, 8 bits
+    cap = min(_INTERN_CAP, _INTERN_CAP * 9 * 8 // ((nvars + 1) * bits))
+    table: dict = {}
     get = table.__getitem__
 
-    def lookup(items):
+    def encode(exps):
         try:
-            return list(map(get, items))
+            return list(map(get, exps))
         except KeyError:
             pass
-        out = []
-        for x in items:
-            y = table.get(x)
-            if y is None:
-                if len(table) >= _INTERN_CAP:
-                    table.clear()
-                y = table[x] = miss(x)
-            out.append(y)
-        return out
+        missing = list(filterfalse(table.__contains__, exps))
+        new = dict(zip(missing, pack_all(missing)))
+        if len(table) + len(new) <= cap:
+            table.update(new)
+        return list(map(new.get, exps, map(table.get, exps)))
 
-    return lookup
-
-
-class _MonomialCodec(NamedTuple):
-    """Interned packing for one (number of variables, field width).
-
-    encode(exponent vectors) lists their packed keys, decode(keys) their
-    exponent vectors; `keys` and `exps` are the two interning tables.
-    """
-
-    encode: Any
-    decode: Any
-    keys: dict
-    exps: dict
-
-
-@functools.lru_cache(maxsize=32)
-def _monomial_codec(nvars: int, bits: int) -> _MonomialCodec:
-    pack, unpack = _monomial_packers(nvars, bits)
-    keys: dict = {}
-    exps: dict = {}
-    return _MonomialCodec(_interned(keys, pack), _interned(exps, unpack), keys, exps)
+    encode.table = table
+    return encode, decode
 
 
 # closes a run in PolynomialRing._add: total degree -1 sorts after every term
@@ -268,12 +259,11 @@ class PolynomialRing(Ring):
     operands in one linear pass.
 
     Packing is interned: one codec per (number of variables, field width),
-    shared by every ring and kept by a bounded functools.lru_cache, owns
-    two tables, exponent vector -> key and key -> exponent vector.  Only a
-    vector or key not yet in its table is packed or unpacked; each table
-    holds at most _INTERN_CAP (2**14) entries and is cleared when full.
-    Decoded exponent vectors are therefore shared tuples, which is safe
-    because they are immutable.
+    shared by every ring, owns a table from exponent vector to key, so an
+    operand monomial is packed once, not in every product.  The table
+    stops growing at _INTERN_CAP (2**14) entries, fewer for keys longer
+    than 9 bytes, and is never cleared; at most _CODEC_CAP (4) codecs are
+    kept.  Product keys are unpacked in bulk in every call.
     """
 
     variables: tuple
@@ -355,7 +345,7 @@ class PolynomialRing(Ring):
         # the leading terms have the largest total degrees; one codec must
         # hold the largest product of any pair
         degree = max(sum(a[0][0]) + sum(b[0][0]) for a, b in pairs)
-        encode, decode, _, _ = _monomial_codec(len(self.variables), _field_bits(degree))
+        encode, decode = _monomial_codec(len(self.variables), _field_bits(degree))
         terms: dict = {}
         get = terms.get
         for a, b in pairs:

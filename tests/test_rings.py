@@ -183,46 +183,54 @@ def _reference_key(e, bits):
 
 def test_interned_codec_matches_uncached_packers():
     rng = random.Random(20261022)
+    _monomial_codec.cache_clear()
     for nvars in (1, 3, 8):
         # the same nvars at every width: one codec per (nvars, width)
         for bits in (8, 16, 32, 64, 80):
-            pack, unpack = _monomial_packers(nvars, bits)
+            encode, decode = _monomial_packers(nvars, bits)
             codec = _monomial_codec(nvars, bits)
             assert codec is _monomial_codec(nvars, bits)
             top = 2**bits // nvars - 1
             exps = [tuple(rng.choice((0, 1, rng.randint(0, top))) for _ in range(nvars))
                     for _ in range(200)]
             exps += exps[:50]
-            want = [pack(e) for e in exps]
+            want = encode(exps)
             assert want == [_reference_key(e, bits) for e in exps]
-            assert [unpack(k) for k in want] == exps
+            assert decode(want) == exps
             # a partly filled table, then the cached second call
-            codec.encode(exps[::2])
-            assert codec.encode(exps) == want
-            assert codec.encode(exps) == want
-            codec.decode(want[1::2])
-            assert codec.decode(want) == exps
-            assert codec.decode(want) == exps
-            assert codec.decode(codec.encode(exps)) == exps
+            cached_encode, codec_decode = codec
+            cached_encode(exps[::2])
+            assert cached_encode(exps) == want
+            assert cached_encode.table.keys() >= set(exps)
+            assert cached_encode(exps) == want
+            assert codec_decode(cached_encode(exps)) == exps
     assert [_field_bits(d) for d in (0, 255, 256, 2**16 - 1, 2**16, 2**32, 2**64 - 1)] == [
         8, 8, 16, 16, 32, 64, 64]
     assert _field_bits(2**64) == 65 and _field_bits(2**80 - 1) == 80
 
 
-def test_poly_dot_after_intern_tables_clear():
+def _spread(i, nvars):
+    """The i-th exponent vector with entries 0..6 in base 7, degree at most 6 * nvars."""
+    return tuple(i // 7**j % 7 for j in range(nvars))
+
+
+def test_poly_dot_after_intern_table_fills():
     nvars = 8
     ring = PolynomialRing(tuple(f"v{j}" for j in range(nvars)))
-    codec = _monomial_codec(nvars, 8)
-    # more than _INTERN_CAP distinct monomials in one operand and in the product
-    wide = poly_canon({(i % 7, i // 7 % 7, i // 49 % 7, i // 343 % 7, i // 2401 % 7, i // 16807,
-                        0, 0): 1 + i % 5 for i in range(_INTERN_CAP + 1000)})
+    _monomial_codec.cache_clear()
+    encode = _monomial_codec(nvars, 8)[0]
     low = ((((0,) * 7 + (1,)), 1), ((0,) * 8, -1))
+    # fill the table past its cap, 1000 monomials per call
+    chunks = [poly_canon({_spread(i, 6) + (0, 0): 1 + i % 5 for i in range(j, j + 1000)})
+              for j in range(0, _INTERN_CAP + 2000, 1000)]
+    for chunk in chunks:
+        assert ring._dot((chunk,), (low,)) == poly_mul(chunk, low)
+        assert len(encode.table) <= _INTERN_CAP
+    assert len(encode.table) > _INTERN_CAP - 1000
+    # more than _INTERN_CAP distinct monomials in one operand
+    wide = poly_canon({_spread(i, 6) + (0, 0): 1 + i % 5 for i in range(_INTERN_CAP + 1000)})
     assert _field_bits(sum(wide[0][0]) + 1) == 8
-    sizes = []
-    got = ring._dot((wide,), (low,))
-    assert got == poly_mul(wide, low)
-    sizes.append((len(codec.keys), len(codec.exps)))
-    assert all(n <= _INTERN_CAP for n in sizes[-1])
+    assert ring._dot((wide,), (low,)) == poly_mul(wide, low)
     rng = random.Random(20261023)
     for i in range(3000):
         npairs = 1 + i % 4
@@ -231,11 +239,17 @@ def test_poly_dot_after_intern_tables_clear():
         got = ring._dot(tuple(xs), tuple(ys))
         assert got == poly_dot(xs, ys)
         _assert_canonical(got)
-        assert len(codec.keys) <= _INTERN_CAP and len(codec.exps) <= _INTERN_CAP
-        sizes.append((len(codec.keys), len(codec.exps)))
-    # the big product filled and cleared both tables, and the cases refilled them
-    assert sizes[0][0] < _INTERN_CAP and sizes[0][1] < _INTERN_CAP
-    assert sizes[-1][0] > sizes[0][0] or sizes[-1][1] > sizes[0][1]
+        assert len(encode.table) <= _INTERN_CAP
+    # a full table is kept, not cleared
+    assert encode.table.keys() >= {e for e, _ in chunks[0]}
+    # longer keys, fewer of them: no more key bits than a full 8-variable table
+    for nvars, bits in ((32, 8), (8, 32)):
+        encode = _monomial_codec(nvars, bits)[0]
+        cap = _INTERN_CAP * 9 * 8 // ((nvars + 1) * bits)
+        for j in range(0, cap + 500, 100):
+            encode([_spread(i, 5) + (0,) * (nvars - 5) for i in range(j, j + 100)])
+            assert len(encode.table) <= cap
+        assert len(encode.table) > cap - 100
 
 
 _SUB_RINGS = [ZZ, MOD7, ModularRing(2**64 - 59), NIL, PolynomialRing(("x",)),
@@ -630,9 +644,10 @@ def test_parse_polynomial_expansion_cap():
     assert parse_value(ring, "(a+b+c+1)^20") == power
     assert parse_value(ring, "(a+b+c+1)^20 + (a+b+c+1)^20") == power + power
     # refused before expanding
-    for text in ("(a+b+c+1)^40", "(a+b+c+1)^20*(a+b+c+1)^20", "(a+1)^10000",
-                 "(10^100*a+10^100*b+10^100*c+1)^25"):
+    for text in ("(a+b+c+1)^40", "(a+1)^10000", "(10^100*a+10^100*b+10^100*c+1)^25"):
         assert _refusal_seconds(ring, text, "term products") < 0.05
+    # both factors are expanded (about 0.02 s each), their product (about 1 s) is not
+    assert _refusal_seconds(ring, "(a+b+c+1)^20*(a+b+c+1)^20", "term products") < 0.25
     # refused once the budget runs out, here while every product and power fits
     for text in ("(a+b+c+1)^20 + (a+b+c+1)^40",
                  " + ".join(["(a+b+c+1)^20"] * 4), "*".join(["(a+b+c+1)^4"] * 8)):
