@@ -22,8 +22,7 @@ from .rings import MAX_INT_DIGITS, ModularRing, ParseError, ZZ
 DEFAULT_FACTOR_BOUND = 1000
 # represent scans up to 2*bound+1 rows, so the bound is capped
 MAX_SEARCH_BOUND = 10**6
-# preimage trial-divides z - c and z + c up to their square roots, so
-# |z| + |c| is capped
+# preimage trial-divides z + c up to its square root, so |z| + |c| is capped
 MAX_DIVISOR_TARGET = 10**12
 
 

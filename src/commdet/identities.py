@@ -23,7 +23,15 @@ from typing import Callable, Dict, List, Mapping, Tuple
 
 from .mat2 import Mat2, QTraceContext, commutator
 from .rings import IntegerRing, PolynomialRing, RingMismatchError, RingValue
-from .witnesses import _curve_point, _factor_matrices
+from .witnesses import (
+    _curve_equations,
+    _curve_point,
+    _factor_equations,
+    _factor_matrices,
+    _norm_equation,
+    _norm_form,
+    traceless_PQ,
+)
 
 __all__ = [
     "Identity",
@@ -217,65 +225,34 @@ def _i_5_9(v):
 
 
 def _i_5_14(v):
-    pairs = []
-    # traceless witness equation
-    a, b, c = v["a"], v["b"], v["c"]
-    two, four = a.ring.from_int(2), a.ring.from_int(4)
+    a, b, c, d = v["a"], v["b"], v["c"], v["d"]
     e, f, g = v["e"], v["f"], v["g"]
+    four = a.ring.from_int(4)
+    # traceless witness equation
     X0 = Mat2(a, b, c, -a)
     Y0 = Mat2(e, f, g, -e)
-    P = two * a * (a * g - c * e) + c * (b * g - c * f)
-    Q = a * g - c * e
-    disc = four * (a ** 2 + b * c)
-    pairs.append((-(c ** 2) * commutator(X0, Y0).det(), P ** 2 - disc * Q ** 2))
+    P, Q = traceless_PQ(X0, Y0)
+    pairs = [(-(c ** 2) * commutator(X0, Y0).det(), P ** 2 - four * (a ** 2 + b * c) * Q ** 2)]
     # general norm-witness equation (Y normalized to zero (2,2) entry)
-    d = v["d"]
     X = Mat2(a, b, c, d)
     Y = Mat2(e, f, g, a.ring.zero())
-    alpha = c * b * g - c ** 2 * f
-    beta = c * e + g * (d - a)
-    u = alpha - a * beta
-    t = X.trace()
-    dl = X.det()
-    pairs.append((-(c ** 2) * commutator(X, Y).det(),
-                  u ** 2 + t * u * beta + dl * beta ** 2))
+    pairs.append(_norm_equation(X, Y, _norm_form(X, Y)))
     return pairs
 
 
 def _i_6_6(v):
     p, q, r, s = v["p"], v["q"], v["r"], v["s"]
-    c = p * r ** 2 + q * s ** 2
     X, Y, A = _factor_matrices(p, q, r, s)
-    cA = A.scale(c)
-    XY = X * Y
-    pairs = [
-        (X.det(), c * p),
-        (Y.det(), c * q),
-        (XY.m11, cA.m11),
-        (XY.m12, cA.m12),
-        (XY.m21, cA.m21),
-        (XY.m22, cA.m22),
-        (commutator(X, Y).det(), -(c ** 2)),
-    ]
-    return pairs
+    return _factor_equations(X, Y, A, p, q, p * r ** 2 + q * s ** 2)
 
 
 def _i_6_10(v):
     p, q, r, s = v["p"], v["q"], v["r"], v["s"]
-    c = p * r ** 2 + q * s ** 2
     X, Y, _ = _factor_matrices(p, q, r, s)
     pt = _curve_point(p, q, r, s)
-    x, y, z = pt.x, pt.y, pt.z
     M = commutator(X, Y)
-    pairs = [
-        (M.m11, -z),
-        (M.m12, x),
-        (M.m21, -y),
-        (M.m22, z),
-        (p * x + q * y, -c),
-        (x * y - z ** 2, -(c ** 2)),
-    ]
-    return pairs
+    pairs = list(zip(M.entries(), (-pt.z, pt.x, -pt.y, pt.z)))
+    return pairs + _curve_equations(p, q, p * r ** 2 + q * s ** 2, pt)
 
 
 _GEN8 = ("a", "b", "c", "d", "e", "f", "g", "h")

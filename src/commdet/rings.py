@@ -289,10 +289,6 @@ class PolynomialRing(Ring):
     def gens(self) -> dict:
         return {v: self.gen(v) for v in self.variables}
 
-    def _canon(self, terms: dict) -> tuple:
-        items = sorted([(sum(e), e, c) for e, c in terms.items() if c], reverse=True)
-        return tuple([(e, c) for _, e, c in items])
-
     def _add(self, a, b):
         if not a:
             return b
@@ -418,9 +414,10 @@ class NilPlaneRing(Ring):
         return a == (0, 0, 0)
 
     def _render(self, a):
-        poly = PolynomialRing(("x", "y"))
-        terms = {(0, 0): a[0], (1, 0): a[1], (0, 1): a[2]}
-        return poly._render(poly._canon(terms))
+        # c1*x + c2*y + c0 is a polynomial payload in descending graded-lex order
+        c0, c1, c2 = a
+        terms = (((1, 0), c1), ((0, 1), c2), ((0, 0), c0))
+        return _XY._render(tuple([t for t in terms if t[1]]))
 
 
 @dataclass(frozen=True)
@@ -484,6 +481,8 @@ class RingValue:
 
 
 ZZ = IntegerRing()
+# renders nil-plane values
+_XY = PolynomialRing(("x", "y"))
 
 
 def poly_substitute(p: RingValue, assignment: Mapping[str, RingValue]) -> RingValue:
@@ -604,12 +603,20 @@ class _Parser:
         return value
 
     def expression(self) -> RingValue:
-        value = self.term()
+        terms = [self.term()]
         while self.peek() == ("op", "+") or self.peek() == ("op", "-"):
             _, op = self.take()
             rhs = self.term()
-            value = self._sized(value + rhs if op == "+" else value - rhs)
-        return value
+            if isinstance(self.ring, PolynomialRing):
+                terms.append(rhs if op == "+" else -rhs)
+            else:
+                terms[0] = self._sized(terms[0] + rhs if op == "+" else terms[0] - rhs)
+        # polynomial terms are added pairwise: a left fold would merge the
+        # growing sum once per term, quadratic in the number of terms
+        while len(terms) > 1:
+            odd = terms[len(terms) & ~1:]
+            terms = [self._sized(x + y) for x, y in zip(terms[::2], terms[1::2])] + odd
+        return terms[0]
 
     def term(self) -> RingValue:
         value = self.factor()

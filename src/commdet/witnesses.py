@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from .mat2 import Mat2, commutator
 from .quadforms import Representation, _int_quadratic_roots
@@ -90,26 +90,39 @@ def taussky_construct(t: RingValue, delta: RingValue, x: RingValue,
     return X, Y
 
 
-def extract_norm_witness(X: Mat2, Y: Mat2) -> NormWitness:
-    """Pull a form witness for -c^2 * det[X,Y] out of an arbitrary pair.
+def _norm_form(X: Mat2, Y: Mat2) -> Tuple[RingValue, RingValue, RingValue, RingValue]:
+    """(u, v, t, delta) of the norm witness for X, Y, unchecked.
 
-    c is the (2,1) entry of X; Y is first normalized by subtracting its
-    (2,2) entry times the identity, which leaves the commutator alone.
+    Y is first normalized by subtracting its (2,2) entry times the
+    identity, which leaves the commutator alone.
     """
-    ring = X.ring
     a, b, c, d = X.entries()
-    Y0 = Y - Mat2.identity(ring).scale(Y.m22)
+    Y0 = Y - Mat2.identity(X.ring).scale(Y.m22)
     e, f, g = Y0.m11, Y0.m12, Y0.m21
     alpha = c * b * g - c ** 2 * f
     beta = c * e + g * (d - a)
-    u = alpha - a * beta
-    t = X.trace()
-    delta = X.det()
-    certified = u ** 2 + t * u * beta + delta * beta ** 2
-    check = -(c ** 2) * commutator(X, Y).det()
-    if not (certified - check).is_zero():
+    return alpha - a * beta, beta, X.trace(), X.det()
+
+
+def _norm_equation(X: Mat2, Y: Mat2, form) -> Tuple[RingValue, RingValue]:
+    """(lhs, rhs) of -c^2 * det[X,Y] = u^2 + t*u*v + delta*v^2.
+
+    c is the (2,1) entry of X and form is (u, v, t, delta).
+    """
+    u, v, t, delta = form
+    return -(X.m21 ** 2) * commutator(X, Y).det(), u ** 2 + t * u * v + delta * v ** 2
+
+
+def extract_norm_witness(X: Mat2, Y: Mat2) -> NormWitness:
+    """Pull a form witness for -c^2 * det[X,Y] out of an arbitrary pair.
+
+    c is the (2,1) entry of X; the formulas are those of _norm_form.
+    """
+    u, v, t, delta = form = _norm_form(X, Y)
+    value, certified = _norm_equation(X, Y, form)
+    if not (certified - value).is_zero():
         raise AssertionError("norm witness failed to certify")  # unreachable
-    return NormWitness(u=u, v=beta, c=c, t=t, delta=delta, certified_value=certified)
+    return NormWitness(u=u, v=v, c=X.m21, t=t, delta=delta, certified_value=certified)
 
 
 def to_discriminant_witness(w: NormWitness) -> Tuple[RingValue, RingValue]:
@@ -158,6 +171,19 @@ def _factor_matrices(p: RingValue, q: RingValue, r: RingValue,
     return X, Y, _factor_A(p, q)
 
 
+def _factor_equations(M: Mat2, N: Mat2, A: Mat2, a: RingValue, b: RingValue,
+                      c: RingValue) -> List[Tuple[RingValue, RingValue]]:
+    """(lhs, rhs) pairs of M*N = c*A, det M = c*a, det N = c*b and det[M,N] = -c^2."""
+    pairs = list(zip((M * N).entries(), A.scale(c).entries()))
+    pairs += [(M.det(), c * a), (N.det(), c * b), (commutator(M, N).det(), -(c ** 2))]
+    return pairs
+
+
+def _holds(pairs) -> bool:
+    # payloads are canonical, so equal values have equal payloads
+    return all(lhs == rhs for lhs, rhs in pairs)
+
+
 def factor_construct(p: RingValue, q: RingValue, c: RingValue,
                      r: RingValue, s: RingValue) -> FactorizationWitness:
     """Build the factorization witness for c = p*r^2 + q*s^2.
@@ -171,18 +197,8 @@ def factor_construct(p: RingValue, q: RingValue, c: RingValue,
     X, Y, A = _factor_matrices(p, q, r, s)
     X1 = Y.adjoint()
     Y1 = -X.adjoint()
-    cA = A.scale(c)
-    checks = [
-        (X * Y - cA).is_zero(),
-        (X1 * Y1 - cA).is_zero(),
-        (X.det() - c * p).is_zero(),
-        (Y.det() - c * q).is_zero(),
-        (X1.det() - c * q).is_zero(),
-        (Y1.det() - c * p).is_zero(),
-        (commutator(X, Y).det() + c ** 2).is_zero(),
-        (commutator(X1, Y1).det() + c ** 2).is_zero(),
-    ]
-    if not all(checks):
+    if not (_holds(_factor_equations(X, Y, A, p, q, c))
+            and _holds(_factor_equations(X1, Y1, A, q, p, c))):
         raise AssertionError("factorization witness failed to certify")  # unreachable
     return FactorizationWitness(p=p, q=q, c=c, r=r, s=s, X=X, Y=Y, X1=X1, Y1=Y1, A=A)
 
@@ -205,15 +221,8 @@ def extract_representation(X1: Mat2, Y1: Mat2, p: RingValue, q: RingValue,
     """
     if not _is_cancellable(c):
         raise ValueError("c must be cancellable (non zero-divisor)")
-    A = _factor_A(p, q)
-    if not (X1 * Y1 - A.scale(c)).is_zero():
-        raise ValueError("X1*Y1 = c*A violated")
-    if not (X1.det() - c * q).is_zero():
-        raise ValueError("det(X1) = c*q violated")
-    if not (Y1.det() - c * p).is_zero():
-        raise ValueError("det(Y1) = c*p violated")
-    if not (commutator(X1, Y1).det() + c ** 2).is_zero():
-        raise ValueError("det[X1,Y1] = -c^2 violated")
+    if not _holds(_factor_equations(X1, Y1, _factor_A(p, q), q, p, c)):
+        raise ValueError("factorization equations for X1, Y1 violated")
     r = X1.supertrace()
     s = Y1.supertrace()
     if not (p * r ** 2 + q * s ** 2 - c).is_zero():
@@ -230,6 +239,13 @@ def _curve_point(p: RingValue, q: RingValue, r: RingValue,
                         z=r * s + p * r ** 2 - q * s ** 2)
 
 
+def _curve_equations(p: RingValue, q: RingValue, c: RingValue,
+                     pt: SurfacePoint) -> List[Tuple[RingValue, RingValue]]:
+    """(lhs, rhs) pairs of p*x + q*y = -c and x*y - z^2 = -c^2."""
+    x, y, z = pt.x, pt.y, pt.z
+    return [(p * x + q * y, -c), (x * y - z ** 2, -(c ** 2))]
+
+
 def curve_map(p: RingValue, q: RingValue, c: RingValue,
               r: RingValue, s: RingValue) -> SurfacePoint:
     """Map a conic point to the plane/quadric intersection.
@@ -239,11 +255,8 @@ def curve_map(p: RingValue, q: RingValue, c: RingValue,
     if not (p * r ** 2 + q * s ** 2 - c).is_zero():
         raise ValueError("conic constraint p*r^2 + q*s^2 = c violated")
     pt = _curve_point(p, q, r, s)
-    x, y, z = pt.x, pt.y, pt.z
-    if not (p * x + q * y + c).is_zero():
-        raise AssertionError("plane equation failed")  # unreachable
-    if not (x * y - z ** 2 + c ** 2).is_zero():
-        raise AssertionError("quadric equation failed")  # unreachable
+    if not _holds(_curve_equations(p, q, c, pt)):
+        raise AssertionError("curve equations failed")  # unreachable
     return pt
 
 
@@ -277,41 +290,29 @@ def _signed_divisors(m: int) -> List[int]:
 
 def preimage_search(p: int, q: int, c: int,
                     pt: Tuple[int, int, int]) -> Tuple[List[Tuple[int, int]], bool]:
-    """All conic points mapping to pt, via divisor enumeration.
+    """All conic points mapping to pt, one row r at a time.
 
-    Uses z = c (mod s) and z = -c (mod r): s runs over signed divisors
-    of z - c and r over signed divisors of z + c, with 0 tried as a
-    degenerate candidate.  When z - c = 0 or z + c = 0 the divisor sets
-    are unbounded, so a box scan with bound 10^4 is used instead and the
-    result is flagged as bounded.
+    On the curve z + c = r*(s + 2*p*r) and y = -s*(2*p*r + s), so r
+    divides z + c and, for each r, s is a root of s^2 + 2*p*r*s + y = 0.
+    The rows are the signed divisors of z + c.  When z = c or z = -c the
+    rows |r| <= 10^4 are scanned instead, only roots with |s| <= 10^4
+    count, and the result is flagged as bounded (r = 0 forces z = -c and
+    s = 0 forces z = c, so both take the scan).
     """
     x, y, z = pt
-
-    def matches(r, s):
-        return (p * r * r + q * s * s == c
-                and r * (2 * q * s - r) == x
-                and -s * (2 * p * r + s) == y
-                and r * s + p * r * r - q * s * s == z)
-
+    bound = PREIMAGE_FALLBACK_BOUND
+    bounded = z - c == 0 or z + c == 0
+    rows = range(-bound, bound + 1) if bounded else _signed_divisors(z + c)
     hits = []
-    bounded = (z - c == 0) or (z + c == 0)
-    if bounded:
-        # scan the box |r|, |s| <= 10^4; for each r the second coordinate
-        # must satisfy s^2 + 2*p*r*s + y = 0, so only the two roots of
-        # that quadratic need testing
-        bound = PREIMAGE_FALLBACK_BOUND
-        for r in range(-bound, bound + 1):
-            for s in _int_quadratic_roots(1, 2 * p * r, y):
-                if abs(s) <= bound and matches(r, s):
-                    hits.append((r, s))
-    else:
-        r_cands = _signed_divisors(z + c) + [0]
-        s_cands = _signed_divisors(z - c) + [0]
-        for r in r_cands:
-            for s in s_cands:
-                if matches(r, s):
-                    hits.append((r, s))
-    return sorted(set(hits)), bounded
+    for r in rows:
+        for s in _int_quadratic_roots(1, 2 * p * r, y):
+            if ((not bounded or abs(s) <= bound)
+                    and p * r * r + q * s * s == c
+                    and r * (2 * q * s - r) == x
+                    and r * s + p * r * r - q * s * s == z):
+                hits.append((r, s))
+    # rows and roots ascend, so the hits are sorted and distinct
+    return hits, bounded
 
 
 def corollary_6_17_witnesses(p: RingValue, q: RingValue, c: RingValue,
@@ -320,10 +321,9 @@ def corollary_6_17_witnesses(p: RingValue, q: RingValue, c: RingValue,
     """Certified triples for p*x + q*y = -c and p*x1 + q*y1 = c on the quadric."""
     pt = curve_map(p, q, c, r, s)
     mirrored = SurfacePoint(x=-pt.x, y=-pt.y, z=pt.z)
-    if not (p * mirrored.x + q * mirrored.y - c).is_zero():
-        raise AssertionError("mirrored plane equation failed")  # unreachable
-    if not (mirrored.x * mirrored.y - mirrored.z ** 2 + c ** 2).is_zero():
-        raise AssertionError("mirrored quadric equation failed")  # unreachable
+    # the mirrored point solves the curve equations for -c
+    if not _holds(_curve_equations(p, q, -c, mirrored)):
+        raise AssertionError("mirrored curve equations failed")  # unreachable
     return pt, mirrored
 
 
@@ -356,13 +356,7 @@ def nilplane_counterexample_check() -> bool:
     c = nil.x()
     p = q = nil.y()
     zero = Mat2.zero(nil)
-    A = _factor_A(p, q)
-    vacuous = (
-        (zero * zero - A.scale(c)).is_zero()
-        and (zero.det() - c * p).is_zero()
-        and (zero.det() - c * q).is_zero()
-        and (commutator(zero, zero).det() + c ** 2).is_zero()
-    )
+    vacuous = _holds(_factor_equations(zero, zero, _factor_A(p, q), p, q, c))
 
     # generic coefficient analysis of y*r^2 + y*s^2: the nil-plane
     # operations applied to triples of polynomial coefficients

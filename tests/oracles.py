@@ -135,3 +135,37 @@ def poly_dot(xs, ys):
     for a, b in zip(xs, ys):
         out = poly_add(out, poly_mul(a, b))
     return out
+
+
+def conic_preimages(p, q, c, x, y, z):
+    """Every integer (r, s) on p*r^2 + q*s^2 = c whose curve image is (x, y, z).
+
+    The curve image of (r, s) is x = r*(2*q*s - r), y = -s*(2*p*r + s),
+    z = r*s + p*r^2 - q*s^2, so z - c = s*(r - 2*q*s).  When z != c, s
+    divides z - c and r is a root of r^2 - 2*q*s*r + x = 0.  When z = c,
+    either s = 0 and x = -r^2, or r = 2*q*s and y = -(4*p*q + 1)*s^2.
+    The reference for witnesses.preimage_search, which solves by rows r.
+    """
+    def monic_roots(b, k):
+        # integer roots of t^2 + b*t + k
+        disc = b * b - 4 * k
+        if disc < 0 or math.isqrt(disc) ** 2 != disc:
+            return []
+        e = math.isqrt(disc)
+        return [(-b + e) // 2, (-b - e) // 2] if (b + e) % 2 == 0 else []
+
+    cands = set()
+    if z != c:
+        m = abs(z - c)
+        for k in range(1, math.isqrt(m) + 1):
+            if m % k == 0:
+                for s in (k, -k, m // k, -(m // k)):
+                    cands.update((r, s) for r in monic_roots(-2 * q * s, x))
+    else:
+        cands.update((r, 0) for r in monic_roots(0, x))
+        k = 4 * p * q + 1
+        if y % k == 0:
+            cands.update((2 * q * s, s) for s in monic_roots(0, y // k))
+    return sorted((r, s) for r, s in cands
+                  if p * r * r + q * s * s == c and r * (2 * q * s - r) == x
+                  and -s * (2 * p * r + s) == y and r * s + p * r * r - q * s * s == z)

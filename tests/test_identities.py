@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from commdet import identities, witnesses
 from commdet.identities import (
     ALL_TAGS,
     CATALOG,
@@ -13,6 +14,7 @@ from commdet.identities import (
 )
 from commdet.mat2 import Mat2, QTraceContext, commutator
 from commdet.rings import ModularRing, PolynomialRing, ZZ, poly_substitute
+from commdet.witnesses import SurfacePoint
 
 from oracles import commutator_det
 
@@ -106,6 +108,38 @@ def test_corrupted_identity_yields_nonzero_residual():
     assert not residual.is_zero()
     dropped = -(X * Y).supertrace() * (Y * X).supertrace()
     assert residual == dropped
+
+
+def _plus_one(value):
+    return value + value.ring.one()
+
+
+def _negate_rhs(pair):
+    return pair[0], -pair[1]
+
+
+# (shared helper, catalog tag, corruption of the helper's result)
+_CORRUPTED_HELPERS = [
+    ("traceless_PQ", "I_5_14", lambda PQ: (_plus_one(PQ[0]), PQ[1])),
+    ("_norm_form", "I_5_14", lambda form: (form[0], _plus_one(form[1])) + form[2:]),
+    ("_norm_equation", "I_5_14", _negate_rhs),
+    ("_factor_matrices", "I_6_6", lambda m: (m[0] + Mat2.identity(m[0].ring),) + m[1:]),
+    ("_factor_matrices", "I_6_10", lambda m: (m[0] + m[0],) + m[1:]),
+    ("_factor_equations", "I_6_6", lambda pairs: pairs[:-1] + [_negate_rhs(pairs[-1])]),
+    ("_curve_point", "I_6_10", lambda pt: SurfacePoint(pt.x, pt.y, _plus_one(pt.z))),
+    ("_curve_equations", "I_6_10", lambda pairs: [_negate_rhs(pairs[0])] + pairs[1:]),
+]
+
+
+@pytest.mark.parametrize("name, tag, corrupt", _CORRUPTED_HELPERS,
+                         ids=[f"{n}-{t}" for n, t, _ in _CORRUPTED_HELPERS])
+def test_catalog_proves_the_shipped_witness_helpers(monkeypatch, name, tag, corrupt):
+    # the catalog calls the very helpers the runtime certificates use, so a
+    # fault in one of them fails its identity
+    helper = getattr(witnesses, name)
+    assert getattr(identities, name) is helper
+    monkeypatch.setattr(identities, name, lambda *args: corrupt(helper(*args)))
+    assert not prove_identity(tag).holds
 
 
 @pytest.mark.parametrize("tag", ["I_4_3", "I_4_5", "I_4_13", "I_4_15", "I_4_16"])

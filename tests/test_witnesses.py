@@ -24,6 +24,8 @@ from commdet.witnesses import (
     traceless_PQ,
 )
 
+from oracles import conic_preimages
+
 X0 = Mat2.from_ints(ZZ, [[0, 4], [-2, 1]])
 Y0 = Mat2.from_ints(ZZ, [[4, 3], [3, 0]])
 
@@ -220,6 +222,13 @@ def test_extract_representation_rejects_corrupted_witness():
     bad = w.X1 + Mat2.identity(ZZ)
     with pytest.raises(ValueError):
         extract_representation(bad, w.Y1, p, q, c)
+    # every equation but det[X1,Y1] = -c^2 holds, and the conic is missed
+    one = ZZ.one()
+    X1 = Mat2.from_ints(ZZ, [[-4, -1], [1, 0]])
+    Y1 = Mat2.from_ints(ZZ, [[-1, 0], [4, -1]])
+    assert commutator(X1, Y1).det().payload == -16
+    with pytest.raises(ValueError, match="factorization equations"):
+        extract_representation(X1, Y1, one, one, one)
 
 
 def test_curve_map_examples():
@@ -291,6 +300,48 @@ def test_preimage_search_bounded_fallback():
 
 def test_preimage_search_respects_fallback_bound():
     assert PREIMAGE_FALLBACK_BOUND == 10 ** 4
+
+
+def _image(p, q, r, s):
+    return r * (2 * q * s - r), -s * (2 * p * r + s), r * s + p * r * r - q * s * s
+
+
+def test_preimage_search_matches_oracle():
+    rng = random.Random(89)
+    branches = set()
+    for _ in range(400):
+        p, q = (rng.choice((-1, 1)) * rng.randint(1, 9) for _ in range(2))
+        r, s = (rng.choice((-1, 1)) * rng.randint(1, 60) for _ in range(2))
+        c = p * r * r + q * s * s
+        x, y, z = _image(p, q, r, s)
+        for pt in ((x, y, z), (x, y, -z), (x + rng.randint(1, 3), y, z)):
+            hits, bounded = preimage_search(p, q, c, pt)
+            assert bounded == (pt[2] in (c, -c))
+            assert hits == conic_preimages(p, q, c, *pt), (p, q, c, pt)
+            branches.add((bounded, bool(hits)))
+    assert branches >= {(False, True), (False, False)}
+
+
+def test_preimage_search_bounded_branch_matches_oracle():
+    # r = 0 gives z = -c, and s = 0 or r = 2*q*s gives z = c
+    cases = [(1, 1, 0, 2), (3, -2, 0, -1), (2, 5, 4, 0), (-3, 4, -2, 0), (1, 2, 4, 1),
+             (-2, 1, -2, -1), (2, -3, 1, -4)]
+    for p, q, r, s in cases:
+        c = p * r * r + q * s * s
+        pt = _image(p, q, r, s)
+        hits, bounded = preimage_search(p, q, c, pt)
+        assert bounded and (r, s) in hits
+        assert hits == conic_preimages(p, q, c, *pt), (p, q, r, s)
+
+
+def test_preimage_search_bounded_branch_misses_points_outside_the_box():
+    big = PREIMAGE_FALLBACK_BOUND + 1
+    # z = c with |r| out of the box, then z = -c with |s| out of the box
+    for r, s, want in ((big, 0, [(-big, 0), (big, 0)]), (0, big, [(0, -big), (0, big)])):
+        pt = _image(1, 1, r, s)
+        assert abs(pt[2]) == big * big
+        assert conic_preimages(1, 1, big * big, *pt) == want
+        assert preimage_search(1, 1, big * big, pt) == ([], True)
 
 
 def test_corollary_6_17_big_witness():
