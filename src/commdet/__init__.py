@@ -4,7 +4,7 @@ Symbolic proofs of the determinantal identities, quadratic-form witness
 constructions, matrix factorization certificates, and a batch CLI.
 """
 
-from .mat2 import Mat2, QTraceContext, cayley_hamilton_residual, commutator, parse_mat2
+from .mat2 import Mat2, cayley_hamilton_residual, commutator, parse_mat2
 from .rings import (
     IntegerRing,
     ModularRing,
@@ -20,7 +20,6 @@ from .rings import (
 
 __all__ = [
     "Mat2",
-    "QTraceContext",
     "cayley_hamilton_residual",
     "commutator",
     "parse_mat2",

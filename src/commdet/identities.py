@@ -21,9 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Tuple
 
-from .mat2 import Mat2, QTraceContext, commutator
+from .mat2 import Mat2, commutator
 from .rings import IntegerRing, PolynomialRing, RingMismatchError, RingValue
 from .witnesses import (
+    _conic,
     _curve_equations,
     _curve_point,
     _factor_equations,
@@ -115,23 +116,23 @@ def _i_3_5(v):
     q = v["q"]
     X = Mat2(-q * v["d"], v["b"], v["c"], v["d"])
     Y = Mat2(-q * v["h"], v["f"], v["g"], v["h"])
-    ctx = QTraceContext.from_q(q)
+    two_q = q.ring.one() + q
     lhs = q * commutator(X, Y).det()
-    rhs = ctx.two ** 2 * (X * Y).det() - (X * Y).qtrace(ctx) * (Y * X).qtrace(ctx)
+    rhs = two_q ** 2 * (X * Y).det() - (X * Y).qtrace(q) * (Y * X).qtrace(q)
     return [(lhs, rhs)]
 
 
 def _i_4_2(v):
     q = v["q"]
     X, Y = _X(v), _Y(v)
-    ctx = QTraceContext.from_q(q)
+    two_q = q.ring.one() + q
     d, dp = X.det(), Y.det()
     t, tp = X.trace(), Y.trace()
-    tau, taup = X.qtrace(ctx), Y.qtrace(ctx)
-    sig, sigp = (X * Y).qtrace(ctx), (Y * X).qtrace(ctx)
+    tau, taup = X.qtrace(q), Y.qtrace(q)
+    sig, sigp = (X * Y).qtrace(q), (Y * X).qtrace(q)
     lhs = q * commutator(X, Y).det()
-    rhs = (ctx.two ** 2 * dp * d
-           - ctx.two * (d * tp * taup + dp * t * tau)
+    rhs = (two_q ** 2 * dp * d
+           - two_q * (d * tp * taup + dp * t * tau)
            + (d * taup ** 2 + dp * tau ** 2 + (X * Y).trace() * taup * tau - sigp * sig))
     return [(lhs, rhs)]
 
@@ -181,12 +182,11 @@ def _i_4_9(v):
 def _i_4_13(v):
     q = v["q"]
     X, Y = _X(v), _Y(v)
-    ctx = QTraceContext.from_q(q)
     t, tp = X.trace(), Y.trace()
-    tau, taup = X.qtrace(ctx), Y.qtrace(ctx)
-    sig, sigp = (X * Y).qtrace(ctx), (Y * X).qtrace(ctx)
+    tau, taup = X.qtrace(q), Y.qtrace(q)
+    sig, sigp = (X * Y).qtrace(q), (Y * X).qtrace(q)
     lhs = sig + sigp - tp * tau - t * taup
-    rhs = ctx.two * ((X * Y).trace() - tp * t)
+    rhs = (q.ring.one() + q) * ((X * Y).trace() - tp * t)
     return [(lhs, rhs)]
 
 
@@ -195,9 +195,8 @@ def _i_4_15(v):
     q = v["q"]
     X = Mat2(v["a"], v["b"], v["c"], -v["a"])
     Y = Mat2(v["e"], v["f"], v["g"], -v["e"])
-    ctx = QTraceContext.from_q(q)
-    lhs = (X * Y).qtrace(ctx) + (Y * X).qtrace(ctx)
-    rhs = ctx.two * (X * Y).trace()
+    lhs = (X * Y).qtrace(q) + (Y * X).qtrace(q)
+    rhs = (q.ring.one() + q) * (X * Y).trace()
     return [(lhs, rhs)]
 
 
@@ -243,7 +242,7 @@ def _i_5_14(v):
 def _i_6_6(v):
     p, q, r, s = v["p"], v["q"], v["r"], v["s"]
     X, Y, A = _factor_matrices(p, q, r, s)
-    return _factor_equations(X, Y, A, p, q, p * r ** 2 + q * s ** 2)
+    return _factor_equations(X, Y, A, p, q, _conic(p, q, r, s))
 
 
 def _i_6_10(v):
@@ -252,7 +251,7 @@ def _i_6_10(v):
     pt = _curve_point(p, q, r, s)
     M = commutator(X, Y)
     pairs = list(zip(M.entries(), (-pt.z, pt.x, -pt.y, pt.z)))
-    return pairs + _curve_equations(p, q, p * r ** 2 + q * s ** 2, pt)
+    return pairs + _curve_equations(p, q, _conic(p, q, r, s), pt)
 
 
 _GEN8 = ("a", "b", "c", "d", "e", "f", "g", "h")
@@ -352,12 +351,12 @@ def corollary_4_7_eval(case: int, X: Mat2, Y: Mat2) -> Pair:
             raise ValueError("case 1 requires XY to have a zero diagonal")
         return -commutator(X, Y).det(), d * taup ** 2 + dp * tau ** 2
     if case == 2:
-        if not (X.m11 - X.m22).is_zero():
+        if X.m11 != X.m22:
             raise ValueError("case 2 requires X to have equal diagonal entries")
         return (-commutator(X, Y).det(),
                 d * taup ** 2 - XY.supertrace() * YX.supertrace())
     if case == 3:
-        if not (XY - YX).is_zero():
+        if XY != YX:
             raise ValueError("case 3 requires XY = YX")
         return (XY.supertrace() ** 2,
                 d * taup ** 2 + dp * tau ** 2 + XY.trace() * taup * tau)

@@ -12,23 +12,10 @@ from .rings import ParseError, Ring, RingMismatchError, RingValue, parse_value
 
 __all__ = [
     "Mat2",
-    "QTraceContext",
     "commutator",
     "cayley_hamilton_residual",
     "parse_mat2",
 ]
-
-
-@dataclass(frozen=True)
-class QTraceContext:
-    """A fixed deformation parameter q together with the quantum two 1+q."""
-
-    q: RingValue
-    two: RingValue
-
-    @classmethod
-    def from_q(cls, q: RingValue) -> "QTraceContext":
-        return cls(q=q, two=q.ring.one() + q)
 
 
 @dataclass(frozen=True)
@@ -99,8 +86,8 @@ class Mat2:
     def trace(self) -> RingValue:
         return self.m11 + self.m22
 
-    def qtrace(self, ctx: QTraceContext) -> RingValue:
-        return self.m11 + ctx.q * self.m22
+    def qtrace(self, q: RingValue) -> RingValue:
+        return self.m11 + q * self.m22
 
     def supertrace(self) -> RingValue:
         return self.m11 - self.m22

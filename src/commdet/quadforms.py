@@ -25,9 +25,12 @@ __all__ = [
     "search_representation",
     "inclusion_chain_check_mod",
     "MAX_ENUM_MODULUS",
+    "MAX_SEARCH_BOUND",
 ]
 
 MAX_ENUM_MODULUS = 16
+# search_representation solves up to 2*bound+1 rows, so the bound is capped
+MAX_SEARCH_BOUND = 10**6
 
 
 @dataclass(frozen=True)
@@ -80,9 +83,13 @@ def discriminant(t: RingValue, delta: RingValue) -> RingValue:
     return t ** 2 - four * delta
 
 
-def _check_modulus(n: int) -> None:
+def _values_mod(s: int, t: int, d: int, n: int) -> Set[int]:
+    """Image of (Z/n)^2 under s*x^2 + t*x*y + d*y^2, by full enumeration."""
+    if n < 2:
+        raise ValueError("modulus must be >= 2")
     if n > MAX_ENUM_MODULUS:
         raise ValueError(f"modulus {n} exceeds enumeration cap {MAX_ENUM_MODULUS}")
+    return {(s * x * x + t * x * y + d * y * y) % n for x in range(n) for y in range(n)}
 
 
 def value_set_mod(form: QuadForm) -> Set[int]:
@@ -90,17 +97,13 @@ def value_set_mod(form: QuadForm) -> Set[int]:
     ring = form.ring
     if not isinstance(ring, ModularRing):
         raise TypeError("value_set_mod expects a form over a modular ring")
-    n = ring.modulus
-    _check_modulus(n)
-    s, t, d = form.s.payload, form.t.payload, form.delta.payload
-    return {(s * x * x + t * x * y + d * y * y) % n for x in range(n) for y in range(n)}
+    return _values_mod(form.s.payload, form.t.payload, form.delta.payload, ring.modulus)
 
 
 def representable_mod(p: int, q: int, c: int, n: int) -> bool:
     """Whether c mod n lies in the value set of p*x^2 + q*y^2 over Z/n."""
-    _check_modulus(n)
-    ring = ModularRing(n)
-    return c % n in value_set_mod(QuadForm.diagonal(ring, p, q))
+    values = _values_mod(p, 0, q, n)
+    return c % n in values
 
 
 def _int_quadratic_roots(a: int, b: int, c: int) -> Optional[Tuple[int, ...]]:
@@ -125,12 +128,12 @@ def search_representation(form: QuadForm, c: int, bound: int) -> SearchResult:
     Each row r1 is solved exactly for r2.  Search order: ascending
     |r1|+|r2|, then ascending |r1|, then nonnegative values before
     negatives.  Deterministic, so the first hit is reproducible across
-    runs.
+    runs.  Raises ValueError unless 1 <= bound <= MAX_SEARCH_BOUND.
     """
     if not isinstance(form.ring, IntegerRing):
         raise TypeError("integer search expects a form over the integers")
-    if bound < 1:
-        raise ValueError("bound must be >= 1")
+    if not 1 <= bound <= MAX_SEARCH_BOUND:
+        raise ValueError(f"bound must be between 1 and {MAX_SEARCH_BOUND}")
     s = form.s.payload
     t = form.t.payload
     d = form.delta.payload
@@ -167,12 +170,8 @@ def search_representation(form: QuadForm, c: int, bound: int) -> SearchResult:
 
 def inclusion_chain_check_mod(t: int, delta: int, n: int) -> bool:
     """Check 4*V[1,t,delta] <= V[1,-Disc] <= V[1,t,delta] over Z/n."""
-    _check_modulus(n)
-    ring = ModularRing(n)
-    f = QuadForm.from_ints(ring, 1, t, delta)
     disc = t * t - 4 * delta
-    g = QuadForm.diagonal(ring, 1, -disc)
-    vf = value_set_mod(f)
-    vg = value_set_mod(g)
+    vf = _values_mod(1, t, delta, n)
+    vg = _values_mod(1, 0, -disc, n)
     four_vf = {(4 * v) % n for v in vf}
     return four_vf <= vg and vg <= vf

@@ -16,7 +16,6 @@ from typing import List, Tuple
 from .mat2 import Mat2, commutator
 from .quadforms import Representation, _int_quadratic_roots
 from .rings import (
-    IntegerRing,
     ModularRing,
     NilPlaneRing,
     PolynomialRing,
@@ -42,9 +41,13 @@ __all__ = [
     "nilplane_counterexample_check",
     "nilplane_in_Vyy",
     "scalar_characterization_check",
+    "MAX_DIVISOR_TARGET",
 ]
 
 PREIMAGE_FALLBACK_BOUND = 10**4
+# preimage_search trial-divides z + c up to its square root, so |z| + |c|
+# is capped; nilplane_in_Vyy spends the same square-root budget
+MAX_DIVISOR_TARGET = 10**12
 
 
 @dataclass(frozen=True)
@@ -120,7 +123,7 @@ def extract_norm_witness(X: Mat2, Y: Mat2) -> NormWitness:
     """
     u, v, t, delta = form = _norm_form(X, Y)
     value, certified = _norm_equation(X, Y, form)
-    if not (certified - value).is_zero():
+    if certified != value:
         raise AssertionError("norm witness failed to certify")  # unreachable
     return NormWitness(u=u, v=v, c=X.m21, t=t, delta=delta, certified_value=certified)
 
@@ -145,15 +148,20 @@ def traceless_PQ(X: Mat2, Y: Mat2) -> Tuple[RingValue, RingValue]:
 
 def constant_diagonal_value(X: Mat2, Y: Mat2) -> RingValue:
     """-det[X,Y] in closed form when X has equal diagonal entries."""
-    if not (X.m11 - X.m22).is_zero():
+    if X.m11 != X.m22:
         raise ValueError("X must have equal diagonal entries")
     b, c = X.m12, X.m21
     Y0 = Y - Mat2.identity(Y.ring).scale(Y.m22)
     w, x, y = Y0.m11, Y0.m12, Y0.m21
     value = (b * y - c * x) ** 2 - b * c * w ** 2
-    if not (value + commutator(X, Y).det()).is_zero():
+    if value != -commutator(X, Y).det():
         raise AssertionError("closed form failed to certify")  # unreachable
     return value
+
+
+def _conic(p, q, r, s):
+    """p*r^2 + q*s^2, for ints and ring values alike."""
+    return p * r * r + q * s * s
 
 
 def _factor_A(p: RingValue, q: RingValue) -> Mat2:
@@ -192,7 +200,7 @@ def factor_construct(p: RingValue, q: RingValue, c: RingValue,
     pair (X1, Y1) realizes the mirrored determinant pattern.  Every
     stated equation is re-verified before the witness is returned.
     """
-    if not (p * r ** 2 + q * s ** 2 - c).is_zero():
+    if _conic(p, q, r, s) != c:
         raise ValueError("conic constraint p*r^2 + q*s^2 = c violated")
     X, Y, A = _factor_matrices(p, q, r, s)
     X1 = Y.adjoint()
@@ -205,8 +213,6 @@ def factor_construct(p: RingValue, q: RingValue, c: RingValue,
 
 def _is_cancellable(c: RingValue) -> bool:
     ring = c.ring
-    if isinstance(ring, IntegerRing):
-        return c.payload != 0
     if isinstance(ring, ModularRing):
         return math.gcd(c.payload, ring.modulus) == 1
     return not c.is_zero()
@@ -225,7 +231,7 @@ def extract_representation(X1: Mat2, Y1: Mat2, p: RingValue, q: RingValue,
         raise ValueError("factorization equations for X1, Y1 violated")
     r = X1.supertrace()
     s = Y1.supertrace()
-    if not (p * r ** 2 + q * s ** 2 - c).is_zero():
+    if _conic(p, q, r, s) != c:
         raise ValueError("corrupted witness: extracted pair misses the conic")
     return Representation(r1=r, r2=s, value=c)
 
@@ -252,7 +258,7 @@ def curve_map(p: RingValue, q: RingValue, c: RingValue,
 
     Guarantees p*x + q*y = -c and x*y - z^2 = -c^2, and is even in (r,s).
     """
-    if not (p * r ** 2 + q * s ** 2 - c).is_zero():
+    if _conic(p, q, r, s) != c:
         raise ValueError("conic constraint p*r^2 + q*s^2 = c violated")
     pt = _curve_point(p, q, r, s)
     if not _holds(_curve_equations(p, q, c, pt)):
@@ -297,9 +303,12 @@ def preimage_search(p: int, q: int, c: int,
     The rows are the signed divisors of z + c.  When z = c or z = -c the
     rows |r| <= 10^4 are scanned instead, only roots with |s| <= 10^4
     count, and the result is flagged as bounded (r = 0 forces z = -c and
-    s = 0 forces z = c, so both take the scan).
+    s = 0 forces z = c, so both take the scan).  Raises ValueError when
+    |z| + |c| > MAX_DIVISOR_TARGET.
     """
     x, y, z = pt
+    if abs(z) + abs(c) > MAX_DIVISOR_TARGET:
+        raise ValueError(f"|z| + |c| must be <= {MAX_DIVISOR_TARGET}")
     bound = PREIMAGE_FALLBACK_BOUND
     bounded = z - c == 0 or z + c == 0
     rows = range(-bound, bound + 1) if bounded else _signed_divisors(z + c)
@@ -332,11 +341,14 @@ def nilplane_in_Vyy(c: RingValue) -> bool:
 
     Generic expansion shows y*r^2 + y*s^2 = (0, 0, r0^2 + s0^2) where
     r0, s0 are the constant terms of r and s, so membership holds iff
-    c = (0, 0, m) with m a sum of two integer squares.
+    c = (0, 0, m) with m a sum of two integer squares.  Raises ValueError
+    when m > MAX_DIVISOR_TARGET.
     """
     if not isinstance(c.ring, NilPlaneRing):
         raise TypeError("expects a nil-plane element")
     c0, c1, c2 = c.payload
+    if c2 > MAX_DIVISOR_TARGET:
+        raise ValueError(f"y-coefficient must be <= {MAX_DIVISOR_TARGET}")
     if c0 != 0 or c1 != 0:
         return False
     if c2 < 0:
@@ -367,7 +379,7 @@ def nilplane_counterexample_check() -> bool:
     sv = (g["s0"], g["s1"], g["s2"])
     val = nil._add(nil._mul(yv, nil._mul(rv, rv)), nil._mul(yv, nil._mul(sv, sv)))
     shape_ok = (val[0].is_zero() and val[1].is_zero()
-                and (val[2] - (g["r0"] ** 2 + g["s0"] ** 2)).is_zero())
+                and val[2] == g["r0"] ** 2 + g["s0"] ** 2)
     # c = x has x-coefficient 1, but every form value has none
     nonmember = shape_ok and not nilplane_in_Vyy(c)
     return vacuous and nonmember

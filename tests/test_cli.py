@@ -5,8 +5,10 @@ import time
 
 import pytest
 
-from commdet.cli import MAX_DIVISOR_TARGET, MAX_SEARCH_BOUND, main
+from commdet.cli import main
 from commdet.identities import ALL_TAGS
+from commdet.quadforms import MAX_SEARCH_BOUND
+from commdet.witnesses import MAX_DIVISOR_TARGET
 
 from oracles import commutator_det
 
@@ -89,9 +91,7 @@ def test_represent_t_without_delta_is_usage_error(capsys):
 def test_represent_nonpositive_bound_is_usage_error(capsys, bound):
     code, out, err = run(capsys, ["represent", "--p", "1", "--q", "31",
                                   "--c", "6704", "--bound", bound])
-    assert code == 2
-    assert out == ""
-    assert "--bound must be >= 1" in err
+    assert (code, out, err) == (2, "", f"bound must be between 1 and {MAX_SEARCH_BOUND}\n")
 
 
 def test_factor_with_explicit_point(capsys):
@@ -161,7 +161,7 @@ def test_preimage_divisor_target_cap(capsys, fmt, z, c):
     code, out, err = run(capsys, ["preimage", "--p", "1", "--q", "1", "--c", str(c),
                                   "--x", "0", "--y", "0", "--z", str(z), "--format", fmt])
     assert time.perf_counter() - start < 1
-    assert (code, out, err) == (2, "", f"|--z| + |--c| must be <= {MAX_DIVISOR_TARGET}\n")
+    assert (code, out, err) == (2, "", f"|z| + |c| must be <= {MAX_DIVISOR_TARGET}\n")
 
 
 def test_preimage_at_divisor_target_cap(capsys):
@@ -228,7 +228,7 @@ def test_norm_witness_oversized_entry_is_usage_error(capsys, entry):
 def test_represent_bound_cap(capsys):
     code, out, err = run(capsys, ["represent", "--p", "1", "--q", "31", "--c", "6704",
                                   "--bound", str(MAX_SEARCH_BOUND + 1)])
-    assert (code, out, err) == (2, "", f"--bound must be <= {MAX_SEARCH_BOUND}\n")
+    assert (code, out, err) == (2, "", f"bound must be between 1 and {MAX_SEARCH_BOUND}\n")
     # the cap itself is accepted; the analytic bound keeps this search short
     code, out, _ = run(capsys, ["represent", "--p", "1", "--q", "31", "--c", "6704",
                                 "--bound", str(MAX_SEARCH_BOUND)])
@@ -292,6 +292,42 @@ def test_missing_subcommand_is_usage_error(capsys):
         main([])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+# the benchmark's six usage-error cases, then the two work limits of the library
+USAGE_ERRORS = {
+    "bad_integer": (["represent", "--p", "1", "--q", "31", "--c", "1234x", "--bound", "100"],
+                    "commdet represent: error: argument --c: not an integer: '1234x'"),
+    "unknown_tag": (["verify", "--identity", "NOPE_1234"], "unknown identity tag: NOPE_1234"),
+    "t_without_delta": (["represent", "--p", "1", "--q", "1", "--c", "1234", "--bound", "10",
+                         "--t", "1"], "--t and --delta must be given together"),
+    "modulus_cap": (["values-mod", "--p", "1", "--q", "1", "--n", "17"],
+                    "modulus 17 exceeds enumeration cap 16"),
+    "bad_matrix": (["norm-witness", "--X", "[[1234,2],[3]]", "--Y", "[[1,0],[0,1]]"],
+                   "each matrix row must have exactly two entries"),
+    "r_without_s": (["factor", "--p", "1", "--q", "1", "--c", "1234", "--r", "1"],
+                    "--r and --s must be given together"),
+    "search_bound": (["represent", "--p", "1", "--q", "1", "--c", "5",
+                      "--bound", str(MAX_SEARCH_BOUND + 1)],
+                     f"bound must be between 1 and {MAX_SEARCH_BOUND}"),
+    "divisor_target": (["preimage", "--p", "1", "--q", "1", "--c", "1", "--x", "0", "--y", "0",
+                        "--z", str(MAX_DIVISOR_TARGET)],
+                       f"|z| + |c| must be <= {MAX_DIVISOR_TARGET}"),
+}
+
+
+@pytest.mark.parametrize("argv, message", USAGE_ERRORS.values(), ids=USAGE_ERRORS.keys())
+def test_usage_error_is_one_stderr_line_and_exit_2(capsys, argv, message):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    # argparse prints its usage synopsis before its one error line
+    usage, _, last = err.rstrip("\n").rpartition("\n")
+    assert (code, out, last) == (2, "", message)
+    assert usage == "" or usage.startswith("usage: commdet ")
+    assert "Traceback" not in err
 
 
 def test_json_output_is_compact(capsys):

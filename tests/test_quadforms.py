@@ -4,6 +4,7 @@ import pytest
 
 from commdet.quadforms import (
     MAX_ENUM_MODULUS,
+    MAX_SEARCH_BOUND,
     QuadForm,
     _int_quadratic_roots,
     discriminant,
@@ -85,6 +86,9 @@ def test_modulus_cap_enforced():
         value_set_mod(QuadForm.diagonal(ModularRing(17), 1, 1))
     with pytest.raises(ValueError):
         inclusion_chain_check_mod(1, 1, 32)
+    for n in (1, 0, -5):
+        with pytest.raises(ValueError, match="^modulus must be >= 2$"):
+            representable_mod(1, 1, 1, n)
     with pytest.raises(TypeError):
         value_set_mod(QuadForm.diagonal(ZZ, 1, 1))
 
@@ -132,8 +136,13 @@ def test_search_negative_target_positive_definite():
 
 
 def test_search_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        search_representation(QuadForm.diagonal(ZZ, 1, 1), 5, 0)
+    message = f"^bound must be between 1 and {MAX_SEARCH_BOUND}$"
+    for bound in (0, MAX_SEARCH_BOUND + 1):
+        with pytest.raises(ValueError, match=message):
+            search_representation(QuadForm.diagonal(ZZ, 1, 1), 5, bound)
+    # the limit itself is accepted; the analytic bound keeps this search short
+    res = search_representation(QuadForm.diagonal(ZZ, 1, 31), 6704, MAX_SEARCH_BOUND)
+    assert (res.found.r1.payload, res.found.r2.payload, res.bound) == (77, 5, 82)
     with pytest.raises(TypeError):
         search_representation(QuadForm.diagonal(ModularRing(5), 1, 1), 1, 3)
 

@@ -6,6 +6,7 @@ from commdet.mat2 import Mat2, commutator
 from commdet.quadforms import QuadForm, value_set_mod
 from commdet.rings import ModularRing, NilPlaneRing, PolynomialRing, RingValue, ZZ
 from commdet.witnesses import (
+    MAX_DIVISOR_TARGET,
     PREIMAGE_FALLBACK_BOUND,
     SurfacePoint,
     constant_diagonal_value,
@@ -344,6 +345,13 @@ def test_preimage_search_bounded_branch_misses_points_outside_the_box():
         assert preimage_search(1, 1, big * big, pt) == ([], True)
 
 
+@pytest.mark.parametrize("z, c", [(MAX_DIVISOR_TARGET, 1), (0, -MAX_DIVISOR_TARGET - 1),
+                                  (-(10**30), 1)])
+def test_preimage_search_rejects_targets_above_the_cap(z, c):
+    with pytest.raises(ValueError, match=rf"^\|z\| \+ \|c\| must be <= {MAX_DIVISOR_TARGET}$"):
+        preimage_search(1, 1, c, (0, 0, z))
+
+
 def test_corollary_6_17_big_witness():
     p, q, c = zz(37, -67, 1)
     r = ZZ.from_int(264_638_639_242)
@@ -378,6 +386,10 @@ def test_nilplane_membership():
     sums = {a * a + b * b for a in range(15) for b in range(15)}
     for m in range(-5, 200):
         assert nilplane_in_Vyy(RingValue(nil, (0, 0, m))) == (m in sums), m
+    # 10^12 = 0^2 + (10^6)^2; one more is refused, not searched
+    assert nilplane_in_Vyy(RingValue(nil, (0, 0, MAX_DIVISOR_TARGET)))
+    with pytest.raises(ValueError, match=f"^y-coefficient must be <= {MAX_DIVISOR_TARGET}$"):
+        nilplane_in_Vyy(RingValue(nil, (0, 0, MAX_DIVISOR_TARGET + 1)))
     with pytest.raises(TypeError):
         nilplane_in_Vyy(ZZ.from_int(1))
 
