@@ -18,11 +18,10 @@ component does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Tuple
+from collections.abc import Callable, Mapping
 
 from .mat2 import Mat2, commutator
-from .rings import IntegerRing, PolynomialRing, RingMismatchError, RingValue
+from .rings import IntegerRing, PolynomialRing, RingMismatchError, RingValue, _Frozen
 from .witnesses import (
     _conic,
     _curve_equations,
@@ -45,24 +44,20 @@ __all__ = [
     "remark_4_4B_divisibility_check",
 ]
 
-Pair = Tuple[RingValue, RingValue]
-Builder = Callable[[Mapping[str, RingValue]], List[Pair]]
+Pair = tuple[RingValue, RingValue]
+Builder = Callable[[Mapping[str, RingValue]], list[Pair]]
 
 
-@dataclass(frozen=True)
-class Identity:
-    tag: str
-    symbols: tuple
-    build: Builder
+class Identity(_Frozen):
+    """tag: str; symbols: tuple of variable names; build: a Builder over those symbols."""
+
+    __slots__ = ("tag", "symbols", "build")
 
 
-@dataclass(frozen=True)
-class IdentityReport:
-    id: str
-    residual: RingValue
-    holds: bool
-    term_count_lhs: int
-    term_count_rhs: int
+class IdentityReport(_Frozen):
+    """id: str; residual: RingValue; holds: bool; term_count_lhs, term_count_rhs: int."""
+
+    __slots__ = ("id", "residual", "holds", "term_count_lhs", "term_count_rhs")
 
 
 def _X(v) -> Mat2:
@@ -256,7 +251,7 @@ def _i_6_10(v):
 
 _GEN8 = ("a", "b", "c", "d", "e", "f", "g", "h")
 
-CATALOG: Dict[str, Identity] = {
+CATALOG: dict[str, Identity] = {
     ident.tag: ident
     for ident in [
         Identity("I_2_2", _GEN8, _i_2_2),

@@ -6,9 +6,7 @@ implemented elsewhere in this package fail for larger blocks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .rings import ParseError, Ring, RingMismatchError, RingValue, parse_value
+from .rings import ParseError, Ring, RingMismatchError, RingValue, _Frozen, parse_value
 
 __all__ = [
     "Mat2",
@@ -18,18 +16,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Mat2:
-    m11: RingValue
-    m12: RingValue
-    m21: RingValue
-    m22: RingValue
+class Mat2(_Frozen):
+    __slots__ = ("m11", "m12", "m21", "m22")
 
-    def __post_init__(self):
-        ring = self.m11.ring
-        for e in (self.m12, self.m21, self.m22):
+    def __init__(self, m11: RingValue, m12: RingValue, m21: RingValue, m22: RingValue):
+        ring = m11.ring
+        for e in (m12, m21, m22):
             if e.ring is not ring and e.ring != ring:
                 raise RingMismatchError("matrix entries must share one ring")
+        object.__setattr__(self, "m11", m11)
+        object.__setattr__(self, "m12", m12)
+        object.__setattr__(self, "m21", m21)
+        object.__setattr__(self, "m22", m22)
 
     @property
     def ring(self) -> Ring:

@@ -10,10 +10,8 @@ means "no witness within the bound".
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Set, Tuple
 
-from .rings import IntegerRing, ModularRing, RingMismatchError, RingValue, ZZ
+from .rings import IntegerRing, ModularRing, RingMismatchError, RingValue, ZZ, _Frozen
 
 __all__ = [
     "QuadForm",
@@ -33,17 +31,17 @@ MAX_ENUM_MODULUS = 16
 MAX_SEARCH_BOUND = 10**6
 
 
-@dataclass(frozen=True)
-class QuadForm:
+class QuadForm(_Frozen):
     """Coefficients (s, t, delta) of s*x^2 + t*x*y + delta*y^2."""
 
-    s: RingValue
-    t: RingValue
-    delta: RingValue
+    __slots__ = ("s", "t", "delta")
 
-    def __post_init__(self):
-        if self.t.ring != self.s.ring or self.delta.ring != self.s.ring:
+    def __init__(self, s: RingValue, t: RingValue, delta: RingValue):
+        if t.ring != s.ring or delta.ring != s.ring:
             raise RingMismatchError("form coefficients must share one ring")
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "delta", delta)
 
     @property
     def ring(self):
@@ -63,18 +61,16 @@ class QuadForm:
         return self.s * r1 ** 2 + self.t * r1 * r2 + self.delta * r2 ** 2
 
 
-@dataclass(frozen=True)
-class Representation:
-    r1: RingValue
-    r2: RingValue
-    value: RingValue
+class Representation(_Frozen):
+    """r1, r2 and value = f(r1, r2), all ring values."""
+
+    __slots__ = ("r1", "r2", "value")
 
 
-@dataclass(frozen=True)
-class SearchResult:
-    found: Optional[Representation]
-    proved_absent: bool
-    bound: int
+class SearchResult(_Frozen):
+    """found: a Representation or None; proved_absent: bool; bound: the int bound searched."""
+
+    __slots__ = ("found", "proved_absent", "bound")
 
 
 def discriminant(t: RingValue, delta: RingValue) -> RingValue:
@@ -83,7 +79,7 @@ def discriminant(t: RingValue, delta: RingValue) -> RingValue:
     return t ** 2 - four * delta
 
 
-def _values_mod(s: int, t: int, d: int, n: int) -> Set[int]:
+def _values_mod(s: int, t: int, d: int, n: int) -> set[int]:
     """Image of (Z/n)^2 under s*x^2 + t*x*y + d*y^2, by full enumeration."""
     if n < 2:
         raise ValueError("modulus must be >= 2")
@@ -92,7 +88,7 @@ def _values_mod(s: int, t: int, d: int, n: int) -> Set[int]:
     return {(s * x * x + t * x * y + d * y * y) % n for x in range(n) for y in range(n)}
 
 
-def value_set_mod(form: QuadForm) -> Set[int]:
+def value_set_mod(form: QuadForm) -> set[int]:
     """Exact image of (Z/n)^2 under the form, by full enumeration."""
     ring = form.ring
     if not isinstance(ring, ModularRing):
@@ -106,7 +102,7 @@ def representable_mod(p: int, q: int, c: int, n: int) -> bool:
     return c % n in values
 
 
-def _int_quadratic_roots(a: int, b: int, c: int) -> Optional[Tuple[int, ...]]:
+def _int_quadratic_roots(a: int, b: int, c: int) -> tuple[int, ...] | None:
     """Ascending integer roots of a*x^2 + b*x + c = 0; None if every x is one."""
     if a == 0:
         if b == 0:

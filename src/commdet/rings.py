@@ -14,9 +14,8 @@ import math
 import operator
 import re
 import struct
-from dataclasses import dataclass
+from collections.abc import Mapping
 from itertools import filterfalse, repeat
-from typing import Any, Mapping
 
 __all__ = [
     "RingMismatchError",
@@ -56,9 +55,73 @@ class ParseError(ValueError):
     """Raised on malformed ring-element text."""
 
 
-@dataclass(frozen=True)
-class Ring:
+def _no_fields(value) -> tuple:
+    return ()
+
+
+class _Frozen:
+    """Base of the immutable value classes: fields in __slots__, compared as a tuple.
+
+    A subclass names its fields in __slots__; the fields of a class are
+    those of its bases followed by its own.  Values are equal when they
+    have the same class and equal fields, and hash as their fields.  The
+    repr is Class(field=value, ...).  Assigning or deleting any attribute
+    raises AttributeError; __reduce__ rebuilds a value from its fields, so
+    copy and pickle work.  __init__ takes the fields positionally or by
+    keyword; a subclass may replace it with one that sets each field by
+    object.__setattr__.
+    """
+
+    __slots__ = ()
+    _fields: tuple = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = fields = tuple([name for c in reversed(cls.__mro__)
+                                      for name in c.__dict__.get("__slots__", ())])
+        # what __eq__ and __hash__ compare: the field tuple, or the one
+        # field itself, read in one C call
+        cls._key = staticmethod(operator.attrgetter(*fields) if fields else _no_fields)
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if len(args) + len(kwargs) != len(fields) or not kwargs.keys() <= set(fields[len(args):]):
+            raise TypeError(f"{type(self).__name__} takes the fields ({', '.join(fields)})")
+        for name, value in zip(fields, args):
+            object.__setattr__(self, name, value)
+        for name, value in kwargs.items():
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        key = self._key
+        return key(self) == key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), tuple([getattr(self, name) for name in self._fields])
+
+
+class Ring(_Frozen):
     """Base descriptor; concrete rings subclass this."""
+
+    __slots__ = ()
+
+    def __init__(self):
+        pass  # no fields
 
     def zero(self) -> "RingValue":
         return self.from_int(0)
@@ -69,16 +132,16 @@ class Ring:
     def from_int(self, n: int) -> "RingValue":
         raise NotImplementedError
 
-    def _add(self, a: Any, b: Any) -> Any:
+    def _add(self, a, b) -> object:
         raise NotImplementedError
 
-    def _neg(self, a: Any) -> Any:
+    def _neg(self, a) -> object:
         raise NotImplementedError
 
-    def _mul(self, a: Any, b: Any) -> Any:
+    def _mul(self, a, b) -> object:
         raise NotImplementedError
 
-    def _dot(self, xs, ys) -> Any:
+    def _dot(self, xs, ys) -> object:
         """The payload of sum(x * y for x, y in zip(xs, ys)): a fold of _mul and _add."""
         out = None
         for x, y in zip(xs, ys):
@@ -86,15 +149,16 @@ class Ring:
             out = term if out is None else self._add(out, term)
         return self.zero().payload if out is None else out
 
-    def _is_zero(self, a: Any) -> bool:
+    def _is_zero(self, a) -> bool:
         raise NotImplementedError
 
-    def _render(self, a: Any) -> str:
+    def _render(self, a) -> str:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
 class IntegerRing(Ring):
+    __slots__ = ()
+
     def from_int(self, n: int) -> "RingValue":
         return RingValue(self, int(n))
 
@@ -117,15 +181,15 @@ class IntegerRing(Ring):
         return str(a)
 
 
-@dataclass(frozen=True)
 class ModularRing(Ring):
-    modulus: int
+    __slots__ = ("modulus",)
 
-    def __post_init__(self):
-        if self.modulus < 2:
+    def __init__(self, modulus: int):
+        if modulus < 2:
             raise ValueError("modulus must be >= 2")
-        if self.modulus > 2**64 - 1:
+        if modulus > 2**64 - 1:
             raise ValueError("modulus too large")
+        object.__setattr__(self, "modulus", modulus)
 
     def from_int(self, n: int) -> "RingValue":
         return RingValue(self, int(n) % self.modulus)
@@ -238,7 +302,6 @@ def _monomial_codec(nvars: int, bits: int):
 _END = ((-1,), 0)
 
 
-@dataclass(frozen=True)
 class PolynomialRing(Ring):
     """Sparse polynomials over Z in a fixed ordered tuple of variables.
 
@@ -266,13 +329,14 @@ class PolynomialRing(Ring):
     kept.  Product keys are unpacked in bulk in every call.
     """
 
-    variables: tuple
+    __slots__ = ("variables",)
 
-    def __post_init__(self):
-        if len(set(self.variables)) != len(self.variables):
+    def __init__(self, variables: tuple):
+        if len(set(variables)) != len(variables):
             raise ValueError("variable names must be distinct")
-        if any(not v for v in self.variables):
+        if any(not v for v in variables):
             raise ValueError("variable names must be nonempty")
+        object.__setattr__(self, "variables", variables)
 
     def from_int(self, n: int) -> "RingValue":
         n = int(n)
@@ -383,12 +447,13 @@ class PolynomialRing(Ring):
         return " ".join(parts)
 
 
-@dataclass(frozen=True)
 class NilPlaneRing(Ring):
     """Z[x,y] with the relations x^2 = y^2 = xy = 0.
 
     Payload: (c0, c1, c2) standing for c0 + c1*x + c2*y.
     """
+
+    __slots__ = ()
 
     def from_int(self, n: int) -> "RingValue":
         return RingValue(self, (int(n), 0, 0))
@@ -420,12 +485,23 @@ class NilPlaneRing(Ring):
         return _XY._render(tuple([t for t in terms if t[1]]))
 
 
-@dataclass(frozen=True)
-class RingValue:
+class RingValue(_Frozen):
     """An immutable element of one concrete ring."""
 
-    ring: Ring
-    payload: Any
+    __slots__ = ("ring", "payload")
+
+    def __init__(self, ring: Ring, payload: object):
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "payload", payload)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        # identical rings compare without a call
+        return (self.ring, self.payload) == (other.ring, other.payload)
+
+    def __hash__(self):
+        return hash((self.ring, self.payload))
 
     def _check(self, other: "RingValue") -> None:
         if not isinstance(other, RingValue):

@@ -10,8 +10,6 @@ dichotomy over small prime fields, nil-plane counterexample).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import List, Tuple
 
 from .mat2 import Mat2, commutator
 from .quadforms import Representation, _int_quadratic_roots
@@ -21,6 +19,7 @@ from .rings import (
     PolynomialRing,
     RingValue,
     ZZ,
+    _Frozen,
 )
 
 __all__ = [
@@ -46,45 +45,30 @@ __all__ = [
 
 PREIMAGE_FALLBACK_BOUND = 10**4
 # preimage_search trial-divides z + c up to its square root, so |z| + |c|
-# is capped; nilplane_in_Vyy spends the same square-root budget
+# is capped; nilplane_in_Vyy trial-divides its m with the same budget
 MAX_DIVISOR_TARGET = 10**12
 
 
-@dataclass(frozen=True)
-class NormWitness:
-    """Certifies u^2 + t*u*v + delta*v^2 = -c^2 * det[X,Y]."""
+class NormWitness(_Frozen):
+    """Certifies u^2 + t*u*v + delta*v^2 = -c^2 * det[X,Y]; every field is a ring value."""
 
-    u: RingValue
-    v: RingValue
-    c: RingValue
-    t: RingValue
-    delta: RingValue
-    certified_value: RingValue
+    __slots__ = ("u", "v", "c", "t", "delta", "certified_value")
 
 
-@dataclass(frozen=True)
-class FactorizationWitness:
-    p: RingValue
-    q: RingValue
-    c: RingValue
-    r: RingValue
-    s: RingValue
-    X: Mat2
-    Y: Mat2
-    X1: Mat2
-    Y1: Mat2
-    A: Mat2
+class FactorizationWitness(_Frozen):
+    """Ring values p, q, c, r, s and the matrices X, Y, X1, Y1, A of factor_construct."""
+
+    __slots__ = ("p", "q", "c", "r", "s", "X", "Y", "X1", "Y1", "A")
 
 
-@dataclass(frozen=True)
-class SurfacePoint:
-    x: RingValue
-    y: RingValue
-    z: RingValue
+class SurfacePoint(_Frozen):
+    """Ring values x, y, z of a point on the plane/quadric intersection."""
+
+    __slots__ = ("x", "y", "z")
 
 
 def taussky_construct(t: RingValue, delta: RingValue, x: RingValue,
-                      y: RingValue) -> Tuple[Mat2, Mat2]:
+                      y: RingValue) -> tuple[Mat2, Mat2]:
     """Companion-matrix pair with -det[X,Y] = x^2 + y*(t*x + delta*y)."""
     ring = t.ring
     zero = ring.zero()
@@ -93,7 +77,7 @@ def taussky_construct(t: RingValue, delta: RingValue, x: RingValue,
     return X, Y
 
 
-def _norm_form(X: Mat2, Y: Mat2) -> Tuple[RingValue, RingValue, RingValue, RingValue]:
+def _norm_form(X: Mat2, Y: Mat2) -> tuple[RingValue, RingValue, RingValue, RingValue]:
     """(u, v, t, delta) of the norm witness for X, Y, unchecked.
 
     Y is first normalized by subtracting its (2,2) entry times the
@@ -107,7 +91,7 @@ def _norm_form(X: Mat2, Y: Mat2) -> Tuple[RingValue, RingValue, RingValue, RingV
     return alpha - a * beta, beta, X.trace(), X.det()
 
 
-def _norm_equation(X: Mat2, Y: Mat2, form) -> Tuple[RingValue, RingValue]:
+def _norm_equation(X: Mat2, Y: Mat2, form) -> tuple[RingValue, RingValue]:
     """(lhs, rhs) of -c^2 * det[X,Y] = u^2 + t*u*v + delta*v^2.
 
     c is the (2,1) entry of X and form is (u, v, t, delta).
@@ -128,13 +112,13 @@ def extract_norm_witness(X: Mat2, Y: Mat2) -> NormWitness:
     return NormWitness(u=u, v=v, c=X.m21, t=t, delta=delta, certified_value=certified)
 
 
-def to_discriminant_witness(w: NormWitness) -> Tuple[RingValue, RingValue]:
+def to_discriminant_witness(w: NormWitness) -> tuple[RingValue, RingValue]:
     """Complete the square: u0^2 - Disc*v0^2 = 4 * certified value."""
     two = w.t.ring.from_int(2)
     return two * w.u + w.t * w.v, w.v
 
 
-def traceless_PQ(X: Mat2, Y: Mat2) -> Tuple[RingValue, RingValue]:
+def traceless_PQ(X: Mat2, Y: Mat2) -> tuple[RingValue, RingValue]:
     """Witness pair with -c^2 * det[X,Y] = P^2 - Disc*Q^2 for traceless X, Y."""
     if not X.trace().is_zero() or not Y.trace().is_zero():
         raise ValueError("both matrices must be traceless")
@@ -170,7 +154,7 @@ def _factor_A(p: RingValue, q: RingValue) -> Mat2:
 
 
 def _factor_matrices(p: RingValue, q: RingValue, r: RingValue,
-                     s: RingValue) -> Tuple[Mat2, Mat2, Mat2]:
+                     s: RingValue) -> tuple[Mat2, Mat2, Mat2]:
     """X, Y and A = [[0,q],[-p,0]] of the factorization witness, unchecked."""
     a = s + p * r
     b = r - q * s
@@ -180,7 +164,7 @@ def _factor_matrices(p: RingValue, q: RingValue, r: RingValue,
 
 
 def _factor_equations(M: Mat2, N: Mat2, A: Mat2, a: RingValue, b: RingValue,
-                      c: RingValue) -> List[Tuple[RingValue, RingValue]]:
+                      c: RingValue) -> list[tuple[RingValue, RingValue]]:
     """(lhs, rhs) pairs of M*N = c*A, det M = c*a, det N = c*b and det[M,N] = -c^2."""
     pairs = list(zip((M * N).entries(), A.scale(c).entries()))
     pairs += [(M.det(), c * a), (N.det(), c * b), (commutator(M, N).det(), -(c ** 2))]
@@ -246,7 +230,7 @@ def _curve_point(p: RingValue, q: RingValue, r: RingValue,
 
 
 def _curve_equations(p: RingValue, q: RingValue, c: RingValue,
-                     pt: SurfacePoint) -> List[Tuple[RingValue, RingValue]]:
+                     pt: SurfacePoint) -> list[tuple[RingValue, RingValue]]:
     """(lhs, rhs) pairs of p*x + q*y = -c and x*y - z^2 = -c^2."""
     x, y, z = pt.x, pt.y, pt.z
     return [(p * x + q * y, -c), (x * y - z ** 2, -(c ** 2))]
@@ -285,7 +269,7 @@ def curve_congruences(p: int, q: int, c: int, r: int, s: int,
     }
 
 
-def _signed_divisors(m: int) -> List[int]:
+def _signed_divisors(m: int) -> list[int]:
     m = abs(m)
     out = []
     for d in range(1, math.isqrt(m) + 1):
@@ -295,7 +279,7 @@ def _signed_divisors(m: int) -> List[int]:
 
 
 def preimage_search(p: int, q: int, c: int,
-                    pt: Tuple[int, int, int]) -> Tuple[List[Tuple[int, int]], bool]:
+                    pt: tuple[int, int, int]) -> tuple[list[tuple[int, int]], bool]:
     """All conic points mapping to pt, one row r at a time.
 
     On the curve z + c = r*(s + 2*p*r) and y = -s*(2*p*r + s), so r
@@ -326,7 +310,7 @@ def preimage_search(p: int, q: int, c: int,
 
 def corollary_6_17_witnesses(p: RingValue, q: RingValue, c: RingValue,
                              r: RingValue, s: RingValue
-                             ) -> Tuple[SurfacePoint, SurfacePoint]:
+                             ) -> tuple[SurfacePoint, SurfacePoint]:
     """Certified triples for p*x + q*y = -c and p*x1 + q*y1 = c on the quadric."""
     pt = curve_map(p, q, c, r, s)
     mirrored = SurfacePoint(x=-pt.x, y=-pt.y, z=pt.z)
@@ -351,9 +335,27 @@ def nilplane_in_Vyy(c: RingValue) -> bool:
         raise ValueError(f"y-coefficient must be <= {MAX_DIVISOR_TARGET}")
     if c0 != 0 or c1 != 0:
         return False
-    if c2 < 0:
-        return False
-    return any(_int_quadratic_roots(1, 0, a * a - c2) for a in range(math.isqrt(c2) + 1))
+    return c2 >= 0 and _is_sum_of_two_squares(c2)
+
+
+def _is_sum_of_two_squares(m: int) -> bool:
+    """Whether m >= 0 is a^2 + b^2 for integers a, b, by trial division up to sqrt(m).
+
+    Two-squares theorem: exactly when every prime p = 3 (mod 4) divides m
+    to an even power.
+    """
+    p = 2
+    while p * p <= m:
+        if m % p == 0:
+            k = 0
+            while m % p == 0:
+                m //= p
+                k += 1
+            if p % 4 == 3 and k % 2:
+                return False
+        p += 1 if p == 2 else 2
+    # what is left is 0, 1 or a prime
+    return m % 4 != 3
 
 
 def nilplane_counterexample_check() -> bool:

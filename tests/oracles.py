@@ -169,3 +169,9 @@ def conic_preimages(p, q, c, x, y, z):
     return sorted((r, s) for r, s in cands
                   if p * r * r + q * s * s == c and r * (2 * q * s - r) == x
                   and -s * (2 * p * r + s) == y and r * s + p * r * r - q * s * s == z)
+
+
+def is_sum_of_two_squares_scan(m: int) -> bool:
+    """Whether m = a^2 + b^2 for integers a, b, by trying every a with a^2 <= m."""
+    return m >= 0 and any(math.isqrt(m - a * a) ** 2 == m - a * a
+                          for a in range(math.isqrt(m) + 1))

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -25,7 +26,7 @@ from commdet.witnesses import (
     traceless_PQ,
 )
 
-from oracles import conic_preimages
+from oracles import conic_preimages, is_sum_of_two_squares_scan
 
 X0 = Mat2.from_ints(ZZ, [[0, 4], [-2, 1]])
 Y0 = Mat2.from_ints(ZZ, [[4, 3], [3, 0]])
@@ -392,6 +393,26 @@ def test_nilplane_membership():
         nilplane_in_Vyy(RingValue(nil, (0, 0, MAX_DIVISOR_TARGET + 1)))
     with pytest.raises(TypeError):
         nilplane_in_Vyy(ZZ.from_int(1))
+
+
+def test_nilplane_in_Vyy_matches_square_scan():
+    nil = NilPlaneRing()
+    for m in range(-5, 20_001):
+        assert nilplane_in_Vyy(RingValue(nil, (0, 0, m))) == is_sum_of_two_squares_scan(m), m
+    # 10^12 = (10^6)^2; a prime = 1 (mod 4); twice a prime = 3 (mod 4)
+    for m in (MAX_DIVISOR_TARGET, 999_999_999_989, 999_999_999_958):
+        assert nilplane_in_Vyy(RingValue(nil, (0, 0, m))) == is_sum_of_two_squares_scan(m), m
+
+
+def test_nilplane_in_Vyy_near_the_cap_is_fast():
+    # 10^12 - 1 = 3^3 * 7 * 11 * 13 * 37 * 101 * 9901; a scan of a^2 + b^2 took 0.5 s or more
+    c = RingValue(NilPlaneRing(), (0, 0, MAX_DIVISOR_TARGET - 1))
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        assert not nilplane_in_Vyy(c)
+        times.append(time.perf_counter() - start)
+    assert min(times) < 0.05
 
 
 def test_nilplane_counterexample():
