@@ -120,9 +120,6 @@ class Ring(_Frozen):
 
     __slots__ = ()
 
-    def __init__(self):
-        pass  # no fields
-
     def zero(self) -> "RingValue":
         return self.from_int(0)
 

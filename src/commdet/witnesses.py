@@ -44,8 +44,8 @@ __all__ = [
 ]
 
 PREIMAGE_FALLBACK_BOUND = 10**4
-# preimage_search trial-divides z + c up to its square root, so |z| + |c|
-# is capped; nilplane_in_Vyy trial-divides its m with the same budget
+# preimage_search trial-divides a nonzero z + c up to its square root, so
+# |z| + |c| is capped there; nilplane_in_Vyy uses the same budget
 MAX_DIVISOR_TARGET = 10**12
 
 
@@ -163,12 +163,16 @@ def _factor_matrices(p: RingValue, q: RingValue, r: RingValue,
     return X, Y, _factor_A(p, q)
 
 
+def _product_equations(M: Mat2, N: Mat2, A: Mat2, a: RingValue, b: RingValue,
+                       c: RingValue) -> list[tuple[RingValue, RingValue]]:
+    """(lhs, rhs) pairs of M*N = c*A, det M = c*a and det N = c*b."""
+    return [*zip((M * N).entries(), A.scale(c).entries()), (M.det(), c * a), (N.det(), c * b)]
+
+
 def _factor_equations(M: Mat2, N: Mat2, A: Mat2, a: RingValue, b: RingValue,
                       c: RingValue) -> list[tuple[RingValue, RingValue]]:
-    """(lhs, rhs) pairs of M*N = c*A, det M = c*a, det N = c*b and det[M,N] = -c^2."""
-    pairs = list(zip((M * N).entries(), A.scale(c).entries()))
-    pairs += [(M.det(), c * a), (N.det(), c * b), (commutator(M, N).det(), -(c ** 2))]
-    return pairs
+    """The _product_equations pairs and det[M,N] = -c^2."""
+    return _product_equations(M, N, A, a, b, c) + [(commutator(M, N).det(), -(c ** 2))]
 
 
 def _holds(pairs) -> bool:
@@ -207,14 +211,15 @@ def extract_representation(X1: Mat2, Y1: Mat2, p: RingValue, q: RingValue,
     """Recover (r, s) with p*r^2 + q*s^2 = c from a mirrored factorization.
 
     Requires c cancellable (nonzero over Z; coprime to the modulus over
-    Z/n): the supertrace extraction divides out c^2.
+    Z/n).  The conic check stands in for det[X1,Y1] = -c^2: by the
+    supertrace formula (I_4_5) the other equations give -det[X1,Y1] =
+    c*(p*r^2 + q*s^2), and c cancels.
     """
     if not _is_cancellable(c):
         raise ValueError("c must be cancellable (non zero-divisor)")
-    if not _holds(_factor_equations(X1, Y1, _factor_A(p, q), q, p, c)):
+    if not _holds(_product_equations(X1, Y1, _factor_A(p, q), q, p, c)):
         raise ValueError("factorization equations for X1, Y1 violated")
-    r = X1.supertrace()
-    s = Y1.supertrace()
+    r, s = X1.supertrace(), Y1.supertrace()
     if _conic(p, q, r, s) != c:
         raise ValueError("corrupted witness: extracted pair misses the conic")
     return Representation(r1=r, r2=s, value=c)
@@ -252,9 +257,7 @@ def curve_map(p: RingValue, q: RingValue, c: RingValue,
 
 def _congruent(a: int, b: int, m: int) -> bool:
     # mod 0 means equality
-    if m == 0:
-        return a == b
-    return (a - b) % abs(m) == 0
+    return a == b if m == 0 else (a - b) % m == 0
 
 
 def curve_congruences(p: int, q: int, c: int, r: int, s: int,
@@ -284,17 +287,17 @@ def preimage_search(p: int, q: int, c: int,
 
     On the curve z + c = r*(s + 2*p*r) and y = -s*(2*p*r + s), so r
     divides z + c and, for each r, s is a root of s^2 + 2*p*r*s + y = 0.
-    The rows are the signed divisors of z + c.  When z = c or z = -c the
-    rows |r| <= 10^4 are scanned instead, only roots with |s| <= 10^4
-    count, and the result is flagged as bounded (r = 0 forces z = -c and
-    s = 0 forces z = c, so both take the scan).  Raises ValueError when
-    |z| + |c| > MAX_DIVISOR_TARGET.
+    The rows are the signed divisors of z + c, z = c included, and the
+    result is complete; raises ValueError when |z| + |c| >
+    MAX_DIVISOR_TARGET.  Only z + c = 0, where r = 0 divides nothing,
+    scans the rows |r| <= 10^4 instead, counts only roots with |s| <= 10^4
+    and flags the result as bounded.
     """
     x, y, z = pt
-    if abs(z) + abs(c) > MAX_DIVISOR_TARGET:
-        raise ValueError(f"|z| + |c| must be <= {MAX_DIVISOR_TARGET}")
     bound = PREIMAGE_FALLBACK_BOUND
-    bounded = z - c == 0 or z + c == 0
+    bounded = z + c == 0
+    if not bounded and abs(z) + abs(c) > MAX_DIVISOR_TARGET:
+        raise ValueError(f"|z| + |c| must be <= {MAX_DIVISOR_TARGET}")
     rows = range(-bound, bound + 1) if bounded else _signed_divisors(z + c)
     hits = []
     for r in rows:

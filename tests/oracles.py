@@ -61,6 +61,26 @@ def commutator_det(x, y) -> int:
     return det(mat_sub(mat_mul(x, y), mat_mul(y, x)))
 
 
+def extract_accepts_four_equations(x1, y1, p, q, c, n=0) -> bool:
+    """Whether (x1, y1) passes the four-equation factorization check, over Z (n = 0) or Z/n.
+
+    The reference for witnesses.extract_representation, which skips the
+    commutator: c is cancellable, x1*y1 = c*[[0,q],[-p,0]], det x1 = c*q,
+    det y1 = c*p, det[x1,y1] = -c^2, and the supertraces r, s of x1, y1
+    satisfy p*r^2 + q*s^2 = c.
+    """
+    def eq(u, v):
+        return (u - v) % n == 0 if n else u == v
+
+    (m11, m12), (m21, m22) = mat_mul(x1, y1)
+    r, s = strace(x1), strace(y1)
+    return ((math.gcd(c, n) == 1 if n else c != 0)
+            and all(eq(u, v) for u, v in zip((m11, m12, m21, m22), (0, c * q, -c * p, 0)))
+            and eq(det(x1), c * q) and eq(det(y1), c * p)
+            and eq(commutator_det(x1, y1), -c * c)
+            and eq(p * r * r + q * s * s, c))
+
+
 def shell_box_search(s, t, d, c, bound):
     """Representation search for s*x^2 + t*x*y + d*y^2 = c by a full box scan.
 

@@ -1,5 +1,7 @@
+import math
 import random
 import time
+from collections import Counter
 
 import pytest
 
@@ -26,7 +28,7 @@ from commdet.witnesses import (
     traceless_PQ,
 )
 
-from oracles import conic_preimages, is_sum_of_two_squares_scan
+from oracles import conic_preimages, extract_accepts_four_equations, is_sum_of_two_squares_scan
 
 X0 = Mat2.from_ints(ZZ, [[0, 4], [-2, 1]])
 Y0 = Mat2.from_ints(ZZ, [[4, 3], [3, 0]])
@@ -229,8 +231,83 @@ def test_extract_representation_rejects_corrupted_witness():
     X1 = Mat2.from_ints(ZZ, [[-4, -1], [1, 0]])
     Y1 = Mat2.from_ints(ZZ, [[-1, 0], [4, -1]])
     assert commutator(X1, Y1).det().payload == -16
-    with pytest.raises(ValueError, match="factorization equations"):
+    with pytest.raises(ValueError, match="conic"):
         extract_representation(X1, Y1, one, one, one)
+
+
+def test_supertrace_formula_ties_the_commutator_to_the_conic():
+    # I_4_5 rearranged: the other factorization equations and the conic
+    # on the supertraces give det[X1,Y1] = -c^2 for cancellable c
+    ring = PolynomialRing(tuple("abcdefgh") + ("p", "q", "k"))
+    g = ring.gens()
+    X = Mat2(g["a"], g["b"], g["c"], g["d"])
+    Y = Mat2(g["e"], g["f"], g["g"], g["h"])
+    p, q, c = g["p"], g["q"], g["k"]
+    r, s = X.supertrace(), Y.supertrace()
+    lhs = -commutator(X, Y).det() - c * (p * r ** 2 + q * s ** 2)
+    rhs = ((X.det() - c * q) * s ** 2 + (Y.det() - c * p) * r ** 2
+           + (X * Y).trace() * r * s - (X * Y).supertrace() * (Y * X).supertrace())
+    assert (lhs - rhs).is_zero()
+    # X*Y = c*A has trace and supertrace 0, as A = [[0,q],[-p,0]] does
+    A = Mat2(ring.zero(), q, -p, ring.zero())
+    assert A.trace().is_zero() and A.supertrace().is_zero()
+
+
+def _rows(M):
+    return ((M.m11.payload, M.m12.payload), (M.m21.payload, M.m22.payload))
+
+
+def _extract_case(rng):
+    """(n, p, q, c, X1 rows, Y1 rows): a witness, a solved pair or a random pair."""
+    n = rng.choice((0, 0, 5, 6, 8, 9, 12, 13, 16, 30))
+    ring = ModularRing(n) if n else ZZ
+    p, q = rng.randint(-9, 9), rng.randint(-9, 9)
+    kind = rng.randrange(3)
+    if kind == 0:
+        r, s = rng.randint(-9, 9), rng.randint(-9, 9)
+        c = p * r * r + q * s * s
+        w = factor_construct(*(ring.from_int(v) for v in (p, q, c, r, s)))
+        x1, y1 = [list(row) for row in _rows(w.X1)], _rows(w.Y1)
+        if rng.random() < 0.5:
+            x1[rng.randrange(2)][rng.randrange(2)] += rng.choice((-1, 1)) * rng.randint(1, 3)
+        x1 = tuple(map(tuple, x1))
+    elif kind == 1:
+        # Y1 = q^-1 * adj(X1) * A and c = q^-1 * det X1 satisfy every
+        # equation but the commutator and the conic
+        q = rng.choice((-1, 1)) if not n else rng.choice([u for u in range(1, n)
+                                                          if math.gcd(u, n) == 1])
+        inv = q if not n else pow(q, -1, n)
+        (a, b), (e, d) = x1 = tuple(tuple(rng.randint(-6, 6) for _ in range(2)) for _ in range(2))
+        c = (a * d - b * e) * inv
+        y1 = ((b * p * inv, d * q * inv), (-a * p * inv, -e * q * inv))
+    else:
+        c = rng.randint(-20, 20)
+        x1, y1 = (tuple(tuple(rng.randint(-6, 6) for _ in range(2)) for _ in range(2))
+                  for _ in range(2))
+    if n:
+        p, q, c = p % n, q % n, c % n
+    return n, p, q, c, x1, y1
+
+
+def test_extract_representation_matches_four_equation_reference():
+    rng = random.Random(97)
+    outcomes = Counter()
+    for _ in range(3000):
+        n, p, q, c, x1, y1 = _extract_case(rng)
+        ring = ModularRing(n) if n else ZZ
+        args = (Mat2.from_ints(ring, x1), Mat2.from_ints(ring, y1),
+                ring.from_int(p), ring.from_int(q), ring.from_int(c))
+        try:
+            extract_representation(*args)
+            outcome = "accepted"
+        except ValueError as err:
+            # "c", "factorization" or "corrupted": which check refused
+            outcome = str(err).split()[0]
+        want = extract_accepts_four_equations(x1, y1, p, q, c, n)
+        assert (outcome == "accepted") == want, (n, p, q, c, x1, y1, outcome)
+        outcomes[outcome] += 1
+    # the conic alone rejects many pairs that pass every other check
+    assert min(outcomes[k] for k in ("accepted", "c", "factorization", "corrupted")) >= 100, outcomes
 
 
 def test_curve_map_examples():
@@ -291,12 +368,12 @@ def test_preimage_search_bounded_fallback():
     hits, bounded = preimage_search(1, 1, 0, (0, 0, 0))
     assert bounded
     assert hits == [(0, 0)]
-    # s = 0 forces z = c, so genuine hits also go through the bounded path
+    # s = 0 forces z = c != 0, which takes the divisor rows of 2*c
     pt = curve_map(*zz(2, 1, 2, 1, 0))
     assert pt.z.payload == 2
     hits, bounded = preimage_search(2, 1, 2,
                                     (pt.x.payload, pt.y.payload, pt.z.payload))
-    assert bounded
+    assert not bounded
     assert hits == [(-1, 0), (1, 0)]
 
 
@@ -318,32 +395,77 @@ def test_preimage_search_matches_oracle():
         x, y, z = _image(p, q, r, s)
         for pt in ((x, y, z), (x, y, -z), (x + rng.randint(1, 3), y, z)):
             hits, bounded = preimage_search(p, q, c, pt)
-            assert bounded == (pt[2] in (c, -c))
+            assert bounded == (pt[2] == -c)
             assert hits == conic_preimages(p, q, c, *pt), (p, q, c, pt)
             branches.add((bounded, bool(hits)))
     assert branches >= {(False, True), (False, False)}
 
 
 def test_preimage_search_bounded_branch_matches_oracle():
-    # r = 0 gives z = -c, and s = 0 or r = 2*q*s gives z = c
+    # r = 0 or s = -2*p*r gives z = -c and the box; s = 0 or r = 2*q*s
+    # gives z = c, which is exact
     cases = [(1, 1, 0, 2), (3, -2, 0, -1), (2, 5, 4, 0), (-3, 4, -2, 0), (1, 2, 4, 1),
              (-2, 1, -2, -1), (2, -3, 1, -4)]
     for p, q, r, s in cases:
         c = p * r * r + q * s * s
         pt = _image(p, q, r, s)
         hits, bounded = preimage_search(p, q, c, pt)
-        assert bounded and (r, s) in hits
+        assert bounded == (pt[2] == -c) and (r, s) in hits
         assert hits == conic_preimages(p, q, c, *pt), (p, q, r, s)
 
 
 def test_preimage_search_bounded_branch_misses_points_outside_the_box():
     big = PREIMAGE_FALLBACK_BOUND + 1
-    # z = c with |r| out of the box, then z = -c with |s| out of the box
-    for r, s, want in ((big, 0, [(-big, 0), (big, 0)]), (0, big, [(0, -big), (0, big)])):
-        pt = _image(1, 1, r, s)
-        assert abs(pt[2]) == big * big
-        assert conic_preimages(1, 1, big * big, *pt) == want
-        assert preimage_search(1, 1, big * big, pt) == ([], True)
+    # z = -c with |s| out of the box
+    pt = _image(1, 1, 0, big)
+    assert pt[2] == -big * big
+    assert conic_preimages(1, 1, big * big, *pt) == [(0, -big), (0, big)]
+    assert preimage_search(1, 1, big * big, pt) == ([], True)
+
+
+def test_preimage_search_z_equals_c_matches_oracle():
+    # z = c != 0 means s = 0 or r = 2*q*s, and r divides 2*c
+    big = PREIMAGE_FALLBACK_BOUND + 1
+    pt = _image(1, 1, big, 0)
+    assert pt[2] == big * big
+    assert preimage_search(1, 1, big * big, pt) == ([(-big, 0), (big, 0)], False)
+    rng = random.Random(101)
+    checked, far = 0, 0
+    while checked < 2000:
+        p, q = rng.randint(-9, 9), rng.randint(-9, 9)
+        # one draw in fifty reaches |r| = 10^6; the cost is sqrt(2*c)
+        top = 10 ** 6 if rng.random() < 0.02 else 10 ** 3
+        if rng.random() < 0.5:
+            r, s = rng.randint(-top, top), 0
+        elif q:
+            s = rng.randint(-top, top) // (2 * abs(q))
+            r = 2 * q * s
+        else:
+            continue
+        c = p * r * r + q * s * s
+        if c == 0 or 2 * abs(c) > MAX_DIVISOR_TARGET:
+            continue
+        x, y, z = _image(p, q, r, s)
+        assert z == c
+        for pt in ((x, y, z), (x + rng.randint(1, 3), y, z)):
+            hits, bounded = preimage_search(p, q, c, pt)
+            assert not bounded
+            assert hits == conic_preimages(p, q, c, *pt), (p, q, c, pt)
+            assert pt[0] != x or (r, s) in hits
+            checked += 1
+        far += abs(r) > 10 * PREIMAGE_FALLBACK_BOUND
+    assert far >= 5
+
+
+def test_preimage_search_cap_applies_only_to_divisor_rows():
+    # z = -c scans the box whatever its size; z = c still divides 2*c
+    c, s = 6 * 10 ** 11, PREIMAGE_FALLBACK_BOUND
+    pt = _image(1, 6000, 0, s)
+    assert pt[2] == -c
+    assert preimage_search(1, 6000, c, pt) == ([(0, -s), (0, s)], True)
+    assert conic_preimages(1, 6000, c, *pt) == [(0, -s), (0, s)]
+    with pytest.raises(ValueError, match=rf"^\|z\| \+ \|c\| must be <= {MAX_DIVISOR_TARGET}$"):
+        preimage_search(1, 6000, c, (0, 0, c))
 
 
 @pytest.mark.parametrize("z, c", [(MAX_DIVISOR_TARGET, 1), (0, -MAX_DIVISOR_TARGET - 1),
