@@ -6,6 +6,8 @@ implemented elsewhere in this package fail for larger blocks.
 
 from __future__ import annotations
 
+import re
+
 from .rings import ParseError, Ring, RingMismatchError, RingValue, _Frozen, parse_value
 
 __all__ = [
@@ -148,13 +150,17 @@ def cayley_hamilton_residual(m: Mat2) -> Mat2:
                           dot((c, d, nt, a, nb), (b, d, d, d, c)))
 
 
+_MATRIX = re.compile(r"\s*\[\s*\[(.*)\]\s*\]\s*", re.S)
+# entries hold no brackets, so this splits the rows unambiguously
+_ROW_BREAK = re.compile(r"\]\s*,\s*\[")
+
+
 def parse_mat2(ring: Ring, text: str) -> Mat2:
-    """Parse "[[m11,m12],[m21,m22]]" with ring-element entries."""
-    s = text.strip()
-    if not (s.startswith("[[") and s.endswith("]]")):
+    """Parse "[[m11,m12],[m21,m22]]" over ring; whitespace may surround brackets."""
+    match = _MATRIX.fullmatch(text)
+    if match is None:
         raise ParseError(f"matrix must look like [[a,b],[c,d]], got {text!r}")
-    body = s[2:-2]
-    rows = body.split("],[")
+    rows = _ROW_BREAK.split(match[1])
     if len(rows) != 2:
         raise ParseError("matrix must have exactly two rows")
     entries = []

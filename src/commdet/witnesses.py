@@ -3,7 +3,7 @@
 Covers the companion-matrix construction for norm values, extraction of
 quadratic-form witnesses from arbitrary matrix pairs, the factorization
 equivalence for diagonal forms, the conic-to-quadric curve map with its
-congruence-based preimage search, and the two exhaustive checks (scalar
+closed-form preimage solve, and the two exhaustive checks (scalar
 dichotomy over small prime fields, nil-plane counterexample).
 """
 
@@ -43,9 +43,8 @@ __all__ = [
     "MAX_DIVISOR_TARGET",
 ]
 
-PREIMAGE_FALLBACK_BOUND = 10**4
-# preimage_search trial-divides a nonzero z + c up to its square root, so
-# |z| + |c| is capped there; nilplane_in_Vyy uses the same budget
+# nilplane_in_Vyy trial-divides its target up to the square root, so the
+# target is capped
 MAX_DIVISOR_TARGET = 10**12
 
 
@@ -272,43 +271,29 @@ def curve_congruences(p: int, q: int, c: int, r: int, s: int,
     }
 
 
-def _signed_divisors(m: int) -> list[int]:
-    m = abs(m)
-    out = []
-    for d in range(1, math.isqrt(m) + 1):
-        if m % d == 0:
-            out.extend([d, -d, m // d, -(m // d)])
-    return sorted(set(out))
-
-
 def preimage_search(p: int, q: int, c: int,
                     pt: tuple[int, int, int]) -> tuple[list[tuple[int, int]], bool]:
-    """All conic points mapping to pt, one row r at a time.
+    """All conic points mapping to pt, in closed form.
 
-    On the curve z + c = r*(s + 2*p*r) and y = -s*(2*p*r + s), so r
-    divides z + c and, for each r, s is a root of s^2 + 2*p*r*s + y = 0.
-    The rows are the signed divisors of z + c, z = c included, and the
-    result is complete; raises ValueError when |z| + |c| >
-    MAX_DIVISOR_TARGET.  Only z + c = 0, where r = 0 divides nothing,
-    scans the rows |r| <= 10^4 instead, counts only roots with |s| <= 10^4
-    and flags the result as bounded.
+    With u = r*s the curve map is linear in (r^2, s^2, u):
+    x = 2*q*u - r^2, y = -2*p*u - s^2 and z + p*x - q*y = (1 + 4*p*q)*u.
+    1 + 4*p*q is odd, so never zero, and pt fixes u, r^2 and s^2; the
+    hits are the root pairs on the conic whose image is pt, which forces
+    r*s = u.  Nothing is enumerated, so the result is complete for every
+    pt and the bounded flag is always False.
     """
     x, y, z = pt
-    bound = PREIMAGE_FALLBACK_BOUND
-    bounded = z + c == 0
-    if not bounded and abs(z) + abs(c) > MAX_DIVISOR_TARGET:
-        raise ValueError(f"|z| + |c| must be <= {MAX_DIVISOR_TARGET}")
-    rows = range(-bound, bound + 1) if bounded else _signed_divisors(z + c)
+    u, rem = divmod(z + p * x - q * y, 1 + 4 * p * q)
     hits = []
-    for r in rows:
-        for s in _int_quadratic_roots(1, 2 * p * r, y):
-            if ((not bounded or abs(s) <= bound)
-                    and p * r * r + q * s * s == c
-                    and r * (2 * q * s - r) == x
-                    and r * s + p * r * r - q * s * s == z):
-                hits.append((r, s))
-    # rows and roots ascend, so the hits are sorted and distinct
-    return hits, bounded
+    if rem == 0:
+        for r in _int_quadratic_roots(1, 0, x - 2 * q * u):
+            for s in _int_quadratic_roots(1, 0, y + 2 * p * u):
+                if (p * r * r + q * s * s == c
+                        and (r * (2 * q * s - r), -s * (2 * p * r + s),
+                             r * s + p * r * r - q * s * s) == (x, y, z)):
+                    hits.append((r, s))
+    # roots ascend, so the hits are sorted and distinct
+    return hits, False
 
 
 def corollary_6_17_witnesses(p: RingValue, q: RingValue, c: RingValue,

@@ -164,7 +164,7 @@ def conic_preimages(p, q, c, x, y, z):
     z = r*s + p*r^2 - q*s^2, so z - c = s*(r - 2*q*s).  When z != c, s
     divides z - c and r is a root of r^2 - 2*q*s*r + x = 0.  When z = c,
     either s = 0 and x = -r^2, or r = 2*q*s and y = -(4*p*q + 1)*s^2.
-    The reference for witnesses.preimage_search, which solves by rows r.
+    The reference for witnesses.preimage_search, which solves in closed form.
     """
     def monic_roots(b, k):
         # integer roots of t^2 + b*t + k

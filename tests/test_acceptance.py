@@ -89,7 +89,7 @@ def test_criterion_4_curve_points_and_empty_preimage():
                                    pt.z.payload) == expected
     hits, bounded = preimage_search(-3, 8, 5, (15, 5, 10))
     ok = points_ok and hits == [] and not bounded
-    report(4, ok, "4 image points match, (15,5,10) has no preimage (divisor proof)")
+    report(4, ok, "4 image points match, (15,5,10) has no preimage (closed-form proof)")
 
 
 def test_criterion_5_pell_scale_witnesses_and_bounded_evidence():

@@ -8,7 +8,6 @@ import pytest
 from commdet.cli import main
 from commdet.identities import ALL_TAGS
 from commdet.quadforms import MAX_SEARCH_BOUND
-from commdet.witnesses import MAX_DIVISOR_TARGET
 
 from oracles import commutator_det
 
@@ -154,19 +153,37 @@ def test_preimage_command(capsys):
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
-@pytest.mark.parametrize("z, c", [(MAX_DIVISOR_TARGET, 1), (-(10**30), 1),
-                                  (0, -MAX_DIVISOR_TARGET - 1)])
+@pytest.mark.parametrize("z, c", [(10**12, 1), (-(10**30), 1), (0, -10**12 - 1)])
 def test_preimage_divisor_target_cap(capsys, fmt, z, c):
+    # |z| + |c| above 10^12 was once refused.  With x = y = 0 and
+    # p = q = 1 a hit needs r^2 = 2*r*s = -s^2, so only z = 0 has one
     start = time.perf_counter()
     code, out, err = run(capsys, ["preimage", "--p", "1", "--q", "1", "--c", str(c),
                                   "--x", "0", "--y", "0", "--z", str(z), "--format", fmt])
     assert time.perf_counter() - start < 1
-    assert (code, out, err) == (2, "", f"|z| + |c| must be <= {MAX_DIVISOR_TARGET}\n")
+    want = ('{"preimages":[],"bounded":false}\n' if fmt == "json"
+            else "preimages: []\nbounded: False\n")
+    assert (code, out, err) == (0, want, "")
+
+
+# a z = -c point outside the box |r|, |s| <= 10^4 that was once scanned,
+# and a point far above the size cap that was once refused
+@pytest.mark.parametrize("c, x, y, z, hits", [
+    (2_500_000_000, 0, -2_500_000_000, -2_500_000_000, [[0, -50000], [0, 50000]]),
+    (2 * 10**24, 10**24, -3 * 10**24, 10**24,
+     [[-(10**12), -(10**12)], [10**12, 10**12]]),
+], ids=["outside_the_old_box", "above_the_old_cap"])
+def test_preimage_is_exact_at_any_size(capsys, c, x, y, z, hits):
+    code, out, err = run(capsys, ["preimage", "--p", "1", "--q", "1", "--c", str(c),
+                                  "--x", str(x), "--y", str(y), "--z", str(z),
+                                  "--format", "json"])
+    assert (code, err) == (0, "")
+    assert out == json.dumps({"preimages": hits, "bounded": False}, separators=(",", ":")) + "\n"
 
 
 def test_preimage_at_divisor_target_cap(capsys):
     code, out, _ = run(capsys, ["preimage", "--p", "1", "--q", "1", "--c", "1", "--x", "0",
-                                "--y", "0", "--z", str(MAX_DIVISOR_TARGET - 1),
+                                "--y", "0", "--z", str(10**12 - 1),
                                 "--format", "json"])
     assert (code, json.loads(out)) == (0, {"preimages": [], "bounded": False})
 
@@ -181,6 +198,14 @@ def test_norm_witness_command(capsys):
     assert (doc["u"], doc["v"]) == (-36, -5)
     assert doc["certified_value"] == 1676
     assert (doc["u0"], doc["v0"]) == (-77, -5)
+
+
+@pytest.mark.parametrize("X", ["[[0, 4], [-2, 1]]", "[ [0,4],[-2,1] ]"],
+                         ids=["spaces_between_rows", "spaces_inside_outer_brackets"])
+def test_norm_witness_accepts_spaces_around_brackets(capsys, X):
+    plain = run(capsys, ["norm-witness", "--X", "[[0,4],[-2,1]]", "--Y", "[[4,3],[3,0]]"])
+    assert run(capsys, ["norm-witness", "--X", X, "--Y", "[[4,3],[3,0]]"]) == plain
+    assert plain[0] == 0
 
 
 def test_norm_witness_parse_error(capsys):
@@ -294,7 +319,7 @@ def test_missing_subcommand_is_usage_error(capsys):
     capsys.readouterr()
 
 
-# the benchmark's six usage-error cases, then the two work limits of the library
+# the benchmark's six usage-error cases, then the work limit of the library
 USAGE_ERRORS = {
     "bad_integer": (["represent", "--p", "1", "--q", "31", "--c", "1234x", "--bound", "100"],
                     "commdet represent: error: argument --c: not an integer: '1234x'"),
@@ -310,9 +335,6 @@ USAGE_ERRORS = {
     "search_bound": (["represent", "--p", "1", "--q", "1", "--c", "5",
                       "--bound", str(MAX_SEARCH_BOUND + 1)],
                      f"bound must be between 1 and {MAX_SEARCH_BOUND}"),
-    "divisor_target": (["preimage", "--p", "1", "--q", "1", "--c", "1", "--x", "0", "--y", "0",
-                        "--z", str(MAX_DIVISOR_TARGET)],
-                       f"|z| + |c| must be <= {MAX_DIVISOR_TARGET}"),
 }
 
 

@@ -143,6 +143,8 @@ def test_parse_round_trip():
     M = parse_mat2(ZZ, text)
     assert M == Mat2.from_ints(ZZ, [[0, 4], [-2, 1]])
     assert parse_mat2(ZZ, M.render()) == M
+    for spaced in ("[[0, 4], [-2, 1]]", "[ [0,4],[-2,1] ]", " [ [ 0 , 4 ] ,\n [ -2 , 1 ] ] "):
+        assert parse_mat2(ZZ, spaced) == M
     ring = PolynomialRing(("a", "b"))
     N = parse_mat2(ring, "[[a+b,2*a],[0,a^2]]")
     assert N.m11 == ring.gen("a") + ring.gen("b")

@@ -10,7 +10,6 @@ from commdet.quadforms import QuadForm, value_set_mod
 from commdet.rings import ModularRing, NilPlaneRing, PolynomialRing, RingValue, ZZ
 from commdet.witnesses import (
     MAX_DIVISOR_TARGET,
-    PREIMAGE_FALLBACK_BOUND,
     SurfacePoint,
     constant_diagonal_value,
     corollary_6_17_witnesses,
@@ -26,6 +25,7 @@ from commdet.witnesses import (
     taussky_construct,
     to_discriminant_witness,
     traceless_PQ,
+    _curve_point,
 )
 
 from oracles import conic_preimages, extract_accepts_four_equations, is_sum_of_two_squares_scan
@@ -355,6 +355,19 @@ def test_curve_congruences_report():
     assert cong0["z_cong_c_mod_s"] == (pt0.z.payload == -3)
 
 
+def test_curve_point_is_linear_in_squares_and_product():
+    # with u = r*s the three relations preimage_search solves
+    ring = PolynomialRing(("p", "q", "r", "s"))
+    g = ring.gens()
+    p, q, r, s = g["p"], g["q"], g["r"], g["s"]
+    two, four = ring.from_int(2), ring.from_int(4)
+    u = r * s
+    pt = _curve_point(p, q, r, s)
+    assert pt.x == two * q * u - r ** 2
+    assert pt.y == -two * p * u - s ** 2
+    assert pt.z + p * pt.x - q * pt.y == (ring.one() + four * p * q) * u
+
+
 def test_preimage_search_examples():
     hits, bounded = preimage_search(-3, 8, 5, (15, 5, 10))
     assert hits == [] and not bounded
@@ -365,10 +378,9 @@ def test_preimage_search_examples():
 
 
 def test_preimage_search_bounded_fallback():
-    hits, bounded = preimage_search(1, 1, 0, (0, 0, 0))
-    assert bounded
-    assert hits == [(0, 0)]
-    # s = 0 forces z = c != 0, which takes the divisor rows of 2*c
+    # z = -c = 0 once took the bounded box scan; it is solved exactly now
+    assert preimage_search(1, 1, 0, (0, 0, 0)) == ([(0, 0)], False)
+    # s = 0 forces z = c != 0
     pt = curve_map(*zz(2, 1, 2, 1, 0))
     assert pt.z.payload == 2
     hits, bounded = preimage_search(2, 1, 2,
@@ -377,17 +389,13 @@ def test_preimage_search_bounded_fallback():
     assert hits == [(-1, 0), (1, 0)]
 
 
-def test_preimage_search_respects_fallback_bound():
-    assert PREIMAGE_FALLBACK_BOUND == 10 ** 4
-
-
 def _image(p, q, r, s):
     return r * (2 * q * s - r), -s * (2 * p * r + s), r * s + p * r * r - q * s * s
 
 
 def test_preimage_search_matches_oracle():
     rng = random.Random(89)
-    branches = set()
+    found = set()
     for _ in range(400):
         p, q = (rng.choice((-1, 1)) * rng.randint(1, 9) for _ in range(2))
         r, s = (rng.choice((-1, 1)) * rng.randint(1, 60) for _ in range(2))
@@ -395,84 +403,138 @@ def test_preimage_search_matches_oracle():
         x, y, z = _image(p, q, r, s)
         for pt in ((x, y, z), (x, y, -z), (x + rng.randint(1, 3), y, z)):
             hits, bounded = preimage_search(p, q, c, pt)
-            assert bounded == (pt[2] == -c)
+            assert not bounded
             assert hits == conic_preimages(p, q, c, *pt), (p, q, c, pt)
-            branches.add((bounded, bool(hits)))
-    assert branches >= {(False, True), (False, False)}
+            found.add(bool(hits))
+    assert found == {True, False}
 
 
 def test_preimage_search_bounded_branch_matches_oracle():
-    # r = 0 or s = -2*p*r gives z = -c and the box; s = 0 or r = 2*q*s
-    # gives z = c, which is exact
+    # r = 0 or s = -2*p*r gives z = -c, which once took the bounded box
+    # scan; s = 0 or r = 2*q*s gives z = c
     cases = [(1, 1, 0, 2), (3, -2, 0, -1), (2, 5, 4, 0), (-3, 4, -2, 0), (1, 2, 4, 1),
              (-2, 1, -2, -1), (2, -3, 1, -4)]
     for p, q, r, s in cases:
         c = p * r * r + q * s * s
         pt = _image(p, q, r, s)
         hits, bounded = preimage_search(p, q, c, pt)
-        assert bounded == (pt[2] == -c) and (r, s) in hits
+        assert not bounded and (r, s) in hits
         assert hits == conic_preimages(p, q, c, *pt), (p, q, r, s)
 
 
 def test_preimage_search_bounded_branch_misses_points_outside_the_box():
-    big = PREIMAGE_FALLBACK_BOUND + 1
-    # z = -c with |s| out of the box
+    # z = -c once took a box scan over |r|, |s| <= 10^4 and missed this
+    # point; it is solved exactly now and nothing is bounded
+    big = 10 ** 4 + 1
     pt = _image(1, 1, 0, big)
     assert pt[2] == -big * big
     assert conic_preimages(1, 1, big * big, *pt) == [(0, -big), (0, big)]
-    assert preimage_search(1, 1, big * big, pt) == ([], True)
-
-
-def test_preimage_search_z_equals_c_matches_oracle():
-    # z = c != 0 means s = 0 or r = 2*q*s, and r divides 2*c
-    big = PREIMAGE_FALLBACK_BOUND + 1
-    pt = _image(1, 1, big, 0)
-    assert pt[2] == big * big
-    assert preimage_search(1, 1, big * big, pt) == ([(-big, 0), (big, 0)], False)
-    rng = random.Random(101)
-    checked, far = 0, 0
-    while checked < 2000:
-        p, q = rng.randint(-9, 9), rng.randint(-9, 9)
-        # one draw in fifty reaches |r| = 10^6; the cost is sqrt(2*c)
-        top = 10 ** 6 if rng.random() < 0.02 else 10 ** 3
-        if rng.random() < 0.5:
-            r, s = rng.randint(-top, top), 0
-        elif q:
-            s = rng.randint(-top, top) // (2 * abs(q))
-            r = 2 * q * s
-        else:
-            continue
-        c = p * r * r + q * s * s
-        if c == 0 or 2 * abs(c) > MAX_DIVISOR_TARGET:
-            continue
-        x, y, z = _image(p, q, r, s)
-        assert z == c
-        for pt in ((x, y, z), (x + rng.randint(1, 3), y, z)):
-            hits, bounded = preimage_search(p, q, c, pt)
-            assert not bounded
-            assert hits == conic_preimages(p, q, c, *pt), (p, q, c, pt)
-            assert pt[0] != x or (r, s) in hits
-            checked += 1
-        far += abs(r) > 10 * PREIMAGE_FALLBACK_BOUND
-    assert far >= 5
+    assert preimage_search(1, 1, big * big, pt) == ([(0, -big), (0, big)], False)
 
 
 def test_preimage_search_cap_applies_only_to_divisor_rows():
-    # z = -c scans the box whatever its size; z = c still divides 2*c
-    c, s = 6 * 10 ** 11, PREIMAGE_FALLBACK_BOUND
+    # the size cap once refused (0, 0, c) on the z = c divisor rows; no
+    # cap remains, and z = c has no preimage there
+    c, s = 6 * 10 ** 11, 10 ** 4
     pt = _image(1, 6000, 0, s)
     assert pt[2] == -c
-    assert preimage_search(1, 6000, c, pt) == ([(0, -s), (0, s)], True)
+    assert preimage_search(1, 6000, c, pt) == ([(0, -s), (0, s)], False)
     assert conic_preimages(1, 6000, c, *pt) == [(0, -s), (0, s)]
-    with pytest.raises(ValueError, match=rf"^\|z\| \+ \|c\| must be <= {MAX_DIVISOR_TARGET}$"):
-        preimage_search(1, 6000, c, (0, 0, c))
+    assert preimage_search(1, 6000, c, (0, 0, c)) == ([], False)
+    assert conic_preimages(1, 6000, c, 0, 0, c) == []
 
 
-@pytest.mark.parametrize("z, c", [(MAX_DIVISOR_TARGET, 1), (0, -MAX_DIVISOR_TARGET - 1),
-                                  (-(10**30), 1)])
-def test_preimage_search_rejects_targets_above_the_cap(z, c):
-    with pytest.raises(ValueError, match=rf"^\|z\| \+ \|c\| must be <= {MAX_DIVISOR_TARGET}$"):
-        preimage_search(1, 1, c, (0, 0, z))
+def _z_equals_c_case(rng, top, coef=9):
+    # s = 0 or r = 2*q*s
+    p, q = rng.randint(-coef, coef), rng.randint(-coef, coef)
+    if rng.random() < 0.5:
+        return p, q, rng.randint(-top, top), 0
+    s = rng.randint(-top, top) // (2 * abs(q)) if q else rng.randint(-top, top)
+    return p, q, 2 * q * s, s
+
+
+def _z_equals_minus_c_case(rng, top, coef=9):
+    # r = 0 or s = -2*p*r
+    p, q = rng.randint(-coef, coef), rng.randint(-coef, coef)
+    if rng.random() < 0.5:
+        return p, q, 0, rng.randint(-top, top)
+    r = rng.randint(-top, top) // (2 * abs(p)) if p else rng.randint(-top, top)
+    return p, q, r, -2 * p * r
+
+
+def _check_z_class_against_oracle(rng, draw, sign):
+    """2,000 seeded points with z = sign*c, |r| or |s| up to 10^6, against the oracle."""
+    checked, far = 0, 0
+    while checked < 2000:
+        # one draw in fifty reaches 10^6
+        p, q, r, s = draw(rng, 10 ** 6 if rng.random() < 0.02 else 10 ** 3)
+        c = p * r * r + q * s * s
+        # the oracle trial-divides z - c, which is 0 or 2*c
+        if 2 * abs(c) > 10 ** 12:
+            continue
+        x, y, z = _image(p, q, r, s)
+        assert z == sign * c
+        bump = rng.choice((-1, 1)) * rng.randint(1, 3)
+        moved = (x + bump, y, z) if rng.random() < 0.5 else (x, y + bump, z)
+        for pt in ((x, y, z), moved):
+            hits, bounded = preimage_search(p, q, c, pt)
+            assert not bounded
+            assert hits == conic_preimages(p, q, c, *pt), (p, q, c, pt)
+            assert pt == moved or (r, s) in hits
+            checked += 1
+        far += max(abs(r), abs(s)) > 10 ** 5
+    assert far >= 5
+
+
+def test_preimage_search_z_equals_c_matches_oracle():
+    big = 10 ** 4 + 1
+    pt = _image(1, 1, big, 0)
+    assert pt[2] == big * big
+    assert preimage_search(1, 1, big * big, pt) == ([(-big, 0), (big, 0)], False)
+    _check_z_class_against_oracle(random.Random(101), _z_equals_c_case, 1)
+
+
+def test_preimage_search_z_equals_minus_c_matches_oracle():
+    _check_z_class_against_oracle(random.Random(103), _z_equals_minus_c_case, -1)
+
+
+@pytest.mark.parametrize("z, c", [(10 ** 12, 1), (0, -10 ** 12 - 1), (-(10**30), 1)])
+def test_preimage_search_answers_targets_above_the_old_cap(z, c):
+    # |z| + |c| above 10^12 was refused.  With x = y = 0 and p = q = 1 a
+    # hit needs r^2 = 2*r*s = -s^2, so r = s = 0 and z = 0
+    assert preimage_search(1, 1, c, (0, 0, z)) == ([], False)
+    if abs(z - c) <= 2 * 10 ** 12:
+        assert conic_preimages(1, 1, c, 0, 0, z) == []
+
+
+def _any_case(rng, top, coef=9):
+    return (rng.randint(-coef, coef), rng.randint(-coef, coef),
+            rng.randint(-top, top), rng.randint(-top, top))
+
+
+def test_preimage_search_finds_planted_pairs_far_above_the_old_cap():
+    # a point in the image fixes r^2, s^2 and r*s, so its preimages are
+    # exactly (r, s) and (-r, -s), whatever the size
+    rng = random.Random(107)
+    checked = 0
+    start = time.perf_counter()
+    for digits in (7, 20, 100, 300):
+        for draw, sign in ((_any_case, None), (_z_equals_c_case, 1), (_z_equals_minus_c_case, -1)):
+            for _ in range(50):
+                p, q, r, s = draw(rng, 10 ** digits, 9 if digits == 7 else 10 ** digits)
+                c = p * r * r + q * s * s
+                pt = _image(p, q, r, s)
+                if abs(pt[2]) + abs(c) <= 10 ** 12:
+                    continue
+                assert sign is None or pt[2] == sign * c
+                hits, bounded = preimage_search(p, q, c, pt)
+                assert not bounded
+                assert hits == sorted({(r, s), (-r, -s)}), (p, q, r, s)
+                for a, b in hits:
+                    assert p * a * a + q * b * b == c and _image(p, q, a, b) == pt
+                checked += 1
+    assert checked >= 500
+    assert time.perf_counter() - start < 1
 
 
 def test_corollary_6_17_big_witness():
